@@ -418,23 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the benchmark record here (default "
-        "BENCH_batched.json, BENCH_sharded.json with --sharded, "
-        "BENCH_plan.json with --plan, or BENCH_codegen.json with "
-        "--codegen); parent directories are created",
-    )
-    p.add_argument(
-        "--sharded", action="store_true",
-        help="benchmark the sharded backend against single-process "
-        "compiled runs instead of the batched sweep",
-    )
-    p.add_argument(
-        "--shards", type=int, default=4, metavar="K",
-        help="with --sharded: worker-process count (default 4)",
+        "BENCH_batched.json, BENCH_plan.json with --plan, or "
+        "BENCH_codegen.json with --codegen); parent directories are "
+        "created",
     )
     p.add_argument(
         "--repeat", type=int, default=3, metavar="N",
-        help="with --sharded/--plan/--codegen: timed runs, best-of "
-        "(default 3)",
+        help="with --plan/--codegen: timed runs, best-of (default 3)",
     )
     p.add_argument(
         "--plan", action="store_true",
@@ -470,10 +460,6 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
         "--no-transfer-engine", action="store_true",
         help="event backend: one kernel process per TRANS instance "
         "instead of the fused transfer engine",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="sharded backend: worker-process count (default 2)",
     )
     p.add_argument(
         "--plan-cache", nargs="?", const=True, default=None, metavar="DIR",
@@ -574,13 +560,6 @@ def _validate_backend_flags(args, allow_batched: bool = False) -> None:
             "use `repro simulate` (with --batch/--vectors-from) or "
             "`repro bench`"
         )
-    if args.shards is not None and args.backend != "sharded":
-        raise ValueError(
-            "--shards only applies to the sharded backend "
-            f"(got --backend {args.backend})"
-        )
-    if args.shards is not None and args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
     if getattr(args, "plan_cache", None) is not None:
         if getattr(args, "no_plan_cache", False):
             raise ValueError("--plan-cache and --no-plan-cache are exclusive")
@@ -738,7 +717,7 @@ def _emit_observe_outputs(args, obs: _ObserveSession, sim=None) -> bool:
     Returns False when the assertion monitor found violations or the
     coverage floor (--cover-min) was missed (the handlers fold this
     into their exit status).  ``sim`` lets the span tracer synthesize
-    backend-side spans (plan resolution, shard workers)."""
+    the backend-side plan-resolution span."""
     ok = True
     if obs.server is not None:
         obs.server.close()
@@ -885,7 +864,6 @@ def _run_via_model(args, text: str) -> int:
             transfer_engine=not args.no_transfer_engine,
             trace=bool(args.vcd),
             observe=obs.probe,
-            shards=args.shards,
             plan_cache=_plan_cache_arg(args),
         )
     sim.run()
@@ -958,7 +936,6 @@ def cmd_simulate(args) -> int:
             backend=args.backend,
             transfer_engine=not args.no_transfer_engine,
             observe=obs.probe,
-            shards=args.shards,
             plan_cache=_plan_cache_arg(args),
         )
     sim.run()
@@ -1208,7 +1185,7 @@ def cmd_iks(args) -> int:
         return _cmd_iks3(args, px, py, args.phi, obs)
     run, ref = crosscheck(
         px, py, backend=backend, transfer_engine=transfer_engine,
-        trace=bool(args.vcd), observe=obs.probe, shards=args.shards,
+        trace=bool(args.vcd), observe=obs.probe,
         plan_cache=_plan_cache_arg(args),
     )
     _print_plan_line(run.simulation)
@@ -1246,7 +1223,6 @@ def _cmd_iks3(args, px: float, py: float, phi: float, obs: _ObserveSession) -> i
         transfer_engine=not args.no_transfer_engine,
         trace=bool(args.vcd),
         observe=obs.probe,
-        shards=args.shards,
         plan_cache=_plan_cache_arg(args),
     )
     _print_plan_line(run.simulation)
@@ -1376,7 +1352,6 @@ def cmd_cover(args) -> int:
             backend=args.backend,
             register_values=overrides or None,
             transfer_engine=not args.no_transfer_engine,
-            shards=args.shards,
             plan_cache=_plan_cache_arg(args),
         )
     else:
@@ -1431,7 +1406,6 @@ def cmd_metrics(args) -> int:
         sim = model.elaborate(
             backend=args.backend,
             transfer_engine=not args.no_transfer_engine,
-            shards=args.shards,
             plan_cache=_plan_cache_arg(args),
         ).run()
         _print_plan_line(sim)
@@ -1703,12 +1677,6 @@ def cmd_bench(args) -> int:
     writes a JSON record (vectors/sec per backend, speedup, model
     size) -- the artifact CI uploads as ``BENCH_batched.json``.
 
-    ``--sharded`` switches to the multi-process benchmark: the same
-    model run once per backend (``compiled`` vs ``sharded`` at
-    ``--shards`` workers, best of ``--repeat``), verified bit-identical
-    and recorded as ``BENCH_sharded.json`` with per-shard barrier
-    metrics.
-
     ``--plan`` switches to the lowering benchmark: cold plan lowering
     vs a warm content-addressed cache hit, recorded as
     ``BENCH_plan.json`` (see :func:`_bench_plan`).
@@ -1730,7 +1698,6 @@ def cmd_bench(args) -> int:
     modes = [
         name for name, flag in (
             ("--plan", args.plan),
-            ("--sharded", args.sharded),
             ("--codegen", args.codegen),
             ("--serve", args.serve),
         ) if flag
@@ -1743,8 +1710,6 @@ def cmd_bench(args) -> int:
         return _bench_codegen(args)
     if args.plan:
         return _bench_plan(args)
-    if args.sharded:
-        return _bench_sharded(args)
     if args.vectors < 1:
         raise ValueError(f"--vectors must be >= 1, got {args.vectors}")
     if args.model:
@@ -1994,105 +1959,6 @@ def _bench_serve(args) -> int:
         f"{load['p99_ms']}ms, mean batch {stats['batch_mean']}), "
         f"speedup {speedup:.1f}x"
     )
-    print(f"-- wrote {written}")
-    return 0
-
-
-def _bench_sharded_default_model(lanes: int = 8):
-    """Independent adder lanes: a model the planner can actually cut.
-
-    Fig. 1 is a single connectivity cluster (one adder), so it can
-    never occupy more than one shard; the lanes model gives the
-    planner ``lanes`` clusters with uniform weight.
-    """
-    from .core import ModuleSpec, RTModel
-
-    model = RTModel(f"lanes{lanes}", cs_max=2 * lanes + 2)
-    for lane in range(lanes):
-        model.register(f"A{lane}", init=lane + 1)
-        model.register(f"B{lane}", init=lane + 2)
-        model.register(f"S{lane}")
-        model.bus(f"BA{lane}")
-        model.bus(f"BB{lane}")
-        model.module(ModuleSpec(f"FU{lane}", latency=1))
-        step = 2 * lane + 1
-        model.add_transfer(
-            f"(A{lane},BA{lane},B{lane},BB{lane},{step},FU{lane},"
-            f"{step + 1},BA{lane},S{lane})"
-        )
-    return model
-
-
-def _bench_sharded(args) -> int:
-    """`repro bench --sharded`: multi-process vs single-process runs."""
-    import time
-
-    from .engine import run_metrics, shard_metrics_rows
-
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    if args.model:
-        model = load_model(args.model)
-        model_name = model.name
-    else:
-        model = _bench_sharded_default_model()
-        model_name = "lanes8 (built-in)"
-
-    def timed(backend: str, **kwargs):
-        best_wall, best_sim = None, None
-        for _ in range(args.repeat):
-            sim = model.elaborate(backend=backend, **kwargs)
-            t0 = time.perf_counter()
-            sim.run()
-            wall = time.perf_counter() - t0
-            if best_wall is None or wall < best_wall:
-                best_wall, best_sim = wall, sim
-        return best_wall, best_sim
-
-    seq_wall, seq_sim = timed("compiled")
-    shard_wall, shard_sim = timed("sharded", shards=args.shards)
-
-    same = (
-        shard_sim.registers == seq_sim.registers
-        and shard_sim.clean == seq_sim.clean
-        and [(e.signal, e.at) for e in shard_sim.conflicts]
-        == [(e.signal, e.at) for e in seq_sim.conflicts]
-    )
-    if not same:
-        print(
-            "error: sharded results differ from the compiled run",
-            file=sys.stderr,
-        )
-        return 1
-
-    record = {
-        "benchmark": "sharded-vs-compiled",
-        "model": _bench_model_record(model, model_name),
-        "shards": args.shards,
-        "repeat": args.repeat,
-        "compiled": {
-            "backend": "compiled",
-            "wall": seq_wall,
-            "metrics": run_metrics(seq_sim, wall=seq_wall),
-        },
-        "sharded": {
-            "backend": "sharded",
-            "wall": shard_wall,
-            "metrics": run_metrics(shard_sim, wall=shard_wall),
-            "per_shard": shard_metrics_rows(shard_sim),
-            "plan": shard_sim.plan.describe(),
-        },
-        "speedup": seq_wall / shard_wall if shard_wall > 0 else float("inf"),
-    }
-    written = _bench_write_record(record, args.out or "BENCH_sharded.json")
-    print(
-        f"{model_name}: compiled {seq_wall * 1e3:.2f} ms, sharded(K="
-        f"{args.shards}) {shard_wall * 1e3:.2f} ms "
-        f"(barrier sync each of {model.cs_max} steps)"
-    )
-    print(shard_sim.plan.describe())
     print(f"-- wrote {written}")
     return 0
 

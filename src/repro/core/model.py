@@ -363,8 +363,6 @@ class RTModel:
         transfer_engine: bool = True,
         backend: str = "event",
         observe=None,
-        shards: Optional[int] = None,
-        partition: Optional[Mapping[str, int]] = None,
         plan=None,
         plan_cache=None,
     ):
@@ -405,12 +403,6 @@ class RTModel:
             stream (phase boundaries, bus drives, register latches,
             conflicts) in the same canonical order on every backend.
             None (the default) installs nothing and costs nothing.
-        shards / partition:
-            ``"sharded"``-backend only: worker-process count (default
-            2) and an optional resource-name -> shard-index mapping
-            overriding the planner heuristic (see
-            :mod:`repro.engine.partition`).  Passing either with any
-            other backend is an error.
         plan / plan_cache:
             Compiled backends only.  ``plan`` supplies a pre-lowered
             :class:`repro.engine.plan.Plan` for this model (skipping
@@ -434,15 +426,6 @@ class RTModel:
             transfer_engine=transfer_engine,
             observe=observe,
         )
-        if backend == "sharded":
-            kwargs["shards"] = 2 if shards is None else shards
-            if partition is not None:
-                kwargs["partition"] = partition
-        elif shards is not None or partition is not None:
-            raise ModelError(
-                "shards/partition apply to backend='sharded' only "
-                f"(got backend={backend!r})"
-            )
         if plan is not None or plan_cache not in (None, False):
             if backend == "event":
                 raise ModelError(

@@ -13,7 +13,6 @@ from .backend import (
     create_backend,
     register_backend,
     run_metrics,
-    shard_metrics_rows,
 )
 from .batched import CompiledBatchedRTSimulation
 from .codegen import (
@@ -25,26 +24,16 @@ from .codegen import (
     generate_source,
 )
 from .compiled import CompiledRTSimulation, PortView
-from .partition import (
-    PartitionError,
-    ShardPlan,
-    connectivity_clusters,
-    plan_shards,
-    plan_shards_for,
-)
 from .plan import (
     PLAN_VERSION,
     ModulePlan,
     Plan,
     PlanCache,
     PlanHandle,
-    PlanSlice,
     lower,
     model_digest,
     resolve_plan,
-    slice_for_shard,
 )
-from .sharded import ShardedRTSimulation, ShardFailure
 
 __all__ = [
     "Backend",
@@ -54,7 +43,6 @@ __all__ = [
     "create_backend",
     "register_backend",
     "run_metrics",
-    "shard_metrics_rows",
     "CompiledBatchedRTSimulation",
     "CompiledRTSimulation",
     "PortView",
@@ -64,21 +52,12 @@ __all__ = [
     "CodegenRTSimulation",
     "gc_caches",
     "generate_source",
-    "PartitionError",
-    "ShardPlan",
-    "connectivity_clusters",
-    "plan_shards",
-    "plan_shards_for",
     "PLAN_VERSION",
     "ModulePlan",
     "Plan",
     "PlanCache",
     "PlanHandle",
-    "PlanSlice",
     "lower",
     "model_digest",
     "resolve_plan",
-    "slice_for_shard",
-    "ShardedRTSimulation",
-    "ShardFailure",
 ]

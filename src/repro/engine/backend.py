@@ -22,14 +22,10 @@ name -- additionally register themselves in a factory registry:
   register-value vectors over a numpy value plane (requires the
   ``repro[fast]`` extra); pass ``register_values`` as a sequence of
   mappings to set the batch.
-* ``"sharded"``: the compiled action tables partitioned over K worker
-  processes synchronized at control-step boundaries (pass ``shards``
-  and optionally ``partition`` to :meth:`RTModel.elaborate`).
 * ``"compiled-py"``: a per-model specialized executor generated from
   the Plan IR (:mod:`repro.engine.codegen`) -- straight-line per-(step,
   phase) code with tables constant-folded into the source, cached as
-  ``codegen/v1/<digest>.py``, optionally numba-jitted via the
-  ``repro[jit]`` extra.
+  ``codegen/v1/<digest>.py`` and compiled once with ``exec``.
 * ``"compiled-py-batched"``: the generated numpy plane sweep over the
   same artifact (requires the ``repro[fast]`` extra).
 """
@@ -124,8 +120,6 @@ def _ensure_builtins() -> None:
         register_backend("compiled", _compiled_factory)
     if "compiled-batched" not in _REGISTRY:
         register_backend("compiled-batched", _compiled_batched_factory)
-    if "sharded" not in _REGISTRY:
-        register_backend("sharded", _sharded_factory)
     if "compiled-py" not in _REGISTRY:
         register_backend("compiled-py", _codegen_factory)
     if "compiled-py-batched" not in _REGISTRY:
@@ -148,12 +142,6 @@ def _compiled_batched_factory(model: Any, **kwargs: Any) -> Backend:
     from .batched import CompiledBatchedRTSimulation
 
     return CompiledBatchedRTSimulation(model, **kwargs)
-
-
-def _sharded_factory(model: Any, **kwargs: Any) -> Backend:
-    from .sharded import ShardedRTSimulation
-
-    return ShardedRTSimulation(model, **kwargs)
 
 
 def _codegen_factory(model: Any, **kwargs: Any) -> Backend:
@@ -203,11 +191,6 @@ def run_metrics(
     ``vectors`` column and count conflicts summed over the batch --
     their ``conflicts`` is a list of per-vector event lists.
 
-    Sharded backends (those carrying ``shard_metrics``) additionally
-    report ``shards``, ``syncs`` (step barriers per shard) and
-    ``sync_bytes`` (total bytes exchanged over all worker pipes); the
-    per-shard breakdown is available via :func:`shard_metrics_rows`.
-
     Backends elaborated through the shared lowering pipeline (see
     :mod:`repro.engine.plan`) report ``plan_cache`` -- one of ``hit``,
     ``miss``, ``off`` or ``given`` -- and ``plan_build_ms``, the wall
@@ -218,7 +201,7 @@ def run_metrics(
     report ``codegen_cache`` (``hit`` / ``miss`` / ``off``),
     ``codegen_build_ms`` (wall time spent resolving the generated
     executor -- artifact load on a hit, generate + compile on a miss)
-    and ``codegen_mode`` (``exec``, ``jit`` or ``interpreter`` when the
+    and ``codegen_mode`` (``exec``, or ``interpreter`` when the
     generated path was unavailable and the backend fell back).
     """
     stats = backend.stats
@@ -265,26 +248,4 @@ def run_metrics(
         row["codegen_cache"] = codegen_cache_state
         row["codegen_build_ms"] = getattr(backend, "codegen_build_ms", 0.0)
         row["codegen_mode"] = getattr(backend, "codegen_mode", "interpreter")
-    shard_metrics = getattr(backend, "shard_metrics", None)
-    if shard_metrics:
-        row["shards"] = len(shard_metrics)
-        row["syncs"] = max(m["syncs"] for m in shard_metrics)
-        row["sync_bytes"] = sum(
-            m["bytes_to_worker"] + m["bytes_from_worker"]
-            for m in shard_metrics
-        )
     return row
-
-
-def shard_metrics_rows(backend: Backend) -> List[Dict[str, float]]:
-    """Per-shard metrics rows for a sharded backend (empty otherwise).
-
-    One row per shard: ``shard`` index, ``syncs`` (control-step
-    barriers completed), ``bytes_to_worker`` / ``bytes_from_worker``
-    (pickled barrier traffic each way) and ``worker_wall`` (seconds the
-    worker spent executing its cycles, excluding barrier waits).
-    """
-    shard_metrics = getattr(backend, "shard_metrics", None)
-    if not shard_metrics:
-        return []
-    return [dict(m) for m in shard_metrics]

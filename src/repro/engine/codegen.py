@@ -35,14 +35,8 @@ compiles it away:
   code cannot reproduce exactly -- a ``max_deltas`` below the schedule
   length (the per-cycle limit check is semantic there), a
   mixed-arity multi-op module, a generation failure -- falls back to
-  the interpreter transparently (``codegen_mode == "interpreter"``).
-
-* When the ``repro[jit]`` extra is installed, the bound chunk thunks
-  are additionally wrapped with :func:`numba.jit` (object mode --
-  the thunks close over Python lists and callbacks); any numba
-  absence or wrap failure degrades gracefully to the plain exec'd
-  Python (``codegen_mode == "exec"``).  ``REPRO_CODEGEN_JIT=0``
-  disables the attempt.
+  the interpreter transparently (``codegen_mode == "interpreter"``);
+  otherwise the exec'd chunk thunks run (``codegen_mode == "exec"``).
 
 ``resolve_codegen`` reports its outcome (``hit`` / ``miss`` / ``off``
 plus the build wall time) through
@@ -967,44 +961,6 @@ def resolve_codegen(
     return CodegenHandle(namespace, state, build_ms)
 
 
-#: Memoized numba module (False = import failed).  A *failed* import
-#: is not cached by Python -- it re-scans sys.path every time -- and
-#: _jit_chunks runs once per elaboration, which profiles as ~40% of a
-#: warm-plan scalar elaborate when numba is absent.
-_NUMBA: Any = None
-
-
-def _jit_chunks(chunks):
-    """numba-wrap the bound chunk thunks (``repro[jit]``), else None.
-
-    Object-mode compilation -- the thunks close over Python lists and
-    callbacks -- attempted only when numba imports; any failure
-    degrades to the plain exec'd thunks.  ``REPRO_CODEGEN_JIT=0``
-    disables the attempt.
-    """
-    flag = os.environ.get("REPRO_CODEGEN_JIT", "").strip().lower()
-    if flag in ("0", "off", "no", "false"):
-        return None
-    global _NUMBA
-    if _NUMBA is None:
-        try:
-            import numba  # type: ignore[import-not-found]
-            _NUMBA = numba
-        except Exception:
-            _NUMBA = False
-    if _NUMBA is False:
-        return None
-    numba = _NUMBA
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return tuple(
-                numba.jit(forceobj=True, cache=False)(fn) for fn in chunks
-            )
-    except Exception:
-        return None
-
-
 # ----------------------------------------------------------------------
 # the executors
 # ----------------------------------------------------------------------
@@ -1015,8 +971,8 @@ class CodegenRTSimulation(CompiledRTSimulation):
     result surface, bit-identical observable behaviour -- replacing
     the interpreting cycle walk with the bound chunk thunks of the
     model's generated module.  ``codegen_mode`` reports what actually
-    runs (``exec`` / ``numba`` / ``interpreter`` when generation is
-    unavailable or ``max_deltas`` demands the per-cycle limit check);
+    runs (``exec``, or ``interpreter`` when generation is unavailable
+    or ``max_deltas`` demands the per-cycle limit check);
     ``codegen_cache_state`` / ``codegen_build_ms`` feed run_metrics.
     """
 
@@ -1093,13 +1049,8 @@ class CodegenRTSimulation(CompiledRTSimulation):
         self.codegen_cache_state = handle.source
         self.codegen_build_ms = handle.build_ms
         self._chunk_stats = handle.module["CHUNK_STATS"]
-        jitted = _jit_chunks(chunks)
-        if jitted is not None:
-            self._chunks = jitted
-            self.codegen_mode = "numba"
-        else:
-            self._chunks = chunks
-            self.codegen_mode = "exec"
+        self._chunks = chunks
+        self.codegen_mode = "exec"
 
     # -- runner callbacks the generated code invokes -------------------
     def _codegen_conflict(self, pos: int, sink: int) -> None:
@@ -1307,13 +1258,8 @@ class CodegenBatchedRTSimulation(CompiledBatchedRTSimulation):
         self.codegen_cache_state = handle.source
         self.codegen_build_ms = handle.build_ms
         self._chunk_stats = handle.module["CHUNK_STATS"]
-        jitted = _jit_chunks(chunks)
-        if jitted is not None:
-            self._chunks = jitted
-            self.codegen_mode = "numba"
-        else:
-            self._chunks = chunks
-            self.codegen_mode = "exec"
+        self._chunks = chunks
+        self.codegen_mode = "exec"
 
     # -- runner callbacks the generated code invokes -------------------
     def _codegen_conflict(self, pos: int, sink: int, newly) -> None:

@@ -11,7 +11,7 @@ exactly the activation indexing a compiled VHDL simulator derives from
 the subset's ``wait until CS = S and PH = P`` conditions (cf. the AOC
 C-model derivation in PAPERS.md): the schedule is static, so no
 runtime scheduler is needed.  Lowering itself lives in
-:func:`repro.engine.plan.lower` (shared with the batched and sharded
+:func:`repro.engine.plan.lower` (shared with the batched and codegen
 backends) and can be skipped entirely on a
 :class:`~repro.engine.plan.PlanCache` hit.
 
@@ -459,7 +459,7 @@ class CompiledRTSimulation:
         Collects the changed ports and defers to
         :func:`~repro.observe.emit.emit_canonical_cycle` -- the same
         canonical-order helper the event kernel's adapter and the
-        sharded coordinator use.  Conflicts were already forwarded by
+        batched backend use.  Conflicts were already forwarded by
         the monitor listener during ``_apply_pending`` -- the same
         relative order the kernel's monitor process (created before
         the adapter) produces.

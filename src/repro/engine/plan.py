@@ -3,21 +3,20 @@
 Every compiled-style backend in this repo executes the same static
 schedule: the model's TRANS instances become per-``(CS, PH)`` action
 tables (asserts, releases), module evaluations fire in CM, register
-latches in CR.  Historically that lowering was implemented three times
--- inline in :class:`~repro.engine.compiled.CompiledRTSimulation`, in
-its batched twin, and again per shard inside the sharded workers.
-This module hoists it into one backend-neutral intermediate
-representation:
+latches in CR.  Historically that lowering was implemented twice --
+inline in :class:`~repro.engine.compiled.CompiledRTSimulation` and in
+its batched twin.  This module hoists it into one backend-neutral
+intermediate representation:
 
 * :func:`lower` turns an :class:`~repro.core.model.RTModel` into a
   :class:`Plan` -- the port/register layout, driver table (one driver
   per TRANS instance, index == global spec index, which is also the
   conflict-resolution order), the per-``(step, phase)`` assert/release
-  tables, per-module operation metadata, and the partition-relevant
-  connectivity clusters.  A Plan is *pure data*: no closures, no live
-  model references -- operation bodies stay in the model and are
-  looked up by name when a backend instantiates its evaluators
-  (:func:`compile_module_eval` / :func:`compile_module_eval_batch`).
+  tables and per-module operation metadata.  A Plan is *pure data*:
+  no closures, no live model references -- operation bodies stay in
+  the model and are looked up by name when a backend instantiates its
+  evaluators (:func:`compile_module_eval` /
+  :func:`compile_module_eval_batch`).
   That makes every Plan picklable and byte-for-byte deterministic
   (tuples and insertion-ordered dicts only; no string-keyed sets whose
   iteration order would leak ``PYTHONHASHSEED``).
@@ -38,11 +37,6 @@ representation:
   Plan > cache hit > lower (+ cache fill), reporting the source
   (``hit`` / ``miss`` / ``off`` / ``given``) and the wall time of the
   lowering step for ``run_metrics``.
-
-* :func:`slice_for_shard` projects a Plan onto one shard of a
-  :class:`~repro.engine.partition.ShardPlan` -- the sharded backend
-  ships these :class:`PlanSlice` objects to its workers instead of
-  re-pickling model fragments.
 """
 
 from __future__ import annotations
@@ -53,18 +47,18 @@ import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.model import ModelError, RTModel
 from ..core.modules_lib import Operation, _combine
-from ..core.phases import PHASES_PER_STEP, Phase
+from ..core.phases import PHASES_PER_STEP
 from ..core.values import DISC, ILLEGAL
 
 #: Bump when the Plan layout changes; versions the cache layout and the
 #: on-disk payload header, so stale entries are discarded, not parsed.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 _MAGIC = "repro-plan"
 
@@ -81,11 +75,10 @@ AssertAction = Tuple[int, Optional[int], int]
 class ModulePlan:
     """One functional unit's lowered layout and static behavior.
 
-    Port indices refer to the owning :class:`Plan`'s (or, after
-    :func:`slice_for_shard`, the slice's) port table.  The operation
-    *bodies* are deliberately absent -- backends resolve them from the
-    live model by name -- so the plan stays picklable even for models
-    whose operations are lambdas or bound methods (the IKS chip).
+    Port indices refer to the owning :class:`Plan`'s port table.  The
+    operation *bodies* are deliberately absent -- backends resolve them
+    from the live model by name -- so the plan stays picklable even for
+    models whose operations are lambdas or bound methods (the IKS chip).
     """
 
     name: str
@@ -111,7 +104,7 @@ class Plan:
     Deterministic (same model -> byte-identical pickle), picklable and
     free of live references; see the module docstring.  ``drv_owner``
     / ``drv_sink`` are indexed by driver == global TRANS spec index,
-    the stable identity the sharded barrier merge relies on.
+    which is also the conflict-resolution order.
     """
 
     version: int
@@ -139,11 +132,6 @@ class Plan:
     releases: Dict[CycleKey, Tuple[int, ...]]
     #: per spec: (step, phase_int, source, sink) -- the flat schedule.
     spec_rows: Tuple[Tuple[int, int, str, str], ...]
-    #: per spec: the register a WB drive latches into (else None).
-    spec_exports: Tuple[Optional[str], ...]
-    #: connectivity clusters (buses + units), each sorted, ordered by
-    #: smallest member -- the sharding co-location constraint.
-    clusters: Tuple[Tuple[str, ...], ...]
 
     @property
     def num_ports(self) -> int:
@@ -177,7 +165,6 @@ class Plan:
             f"{len(self.reg_ports)} registers, {len(self.modules)} units)",
             f"  drivers: {self.num_drivers} TRANS instances, "
             f"{cells} assert actions",
-            f"  clusters: {len(self.clusters)}",
         ]
         return "\n".join(lines)
 
@@ -195,42 +182,7 @@ class Plan:
             "modules": len(self.modules),
             "drivers": self.num_drivers,
             "assert_actions": sum(len(v) for v in self.asserts.values()),
-            "clusters": len(self.clusters),
         }
-
-
-@dataclass(frozen=True)
-class PlanSlice:
-    """One shard's projection of a :class:`Plan`.
-
-    Exactly the tables a sharded worker executes: the local port table
-    (owned buses with their global declaration index, ghost register
-    outputs, owned module ports), the local driver table for owned
-    non-exporting TRANS instances, and assert/release tables whose
-    entries keep the *global* spec index (the merge identity at the
-    step barrier).  Pure data, like the Plan it came from.
-    """
-
-    shard: int
-    names: Tuple[str, ...]
-    inits: Tuple[int, ...]
-    index: Dict[str, int]
-    #: local port index -> global bus declaration index (probe order).
-    bus_decl: Dict[int, int]
-    #: ghost register -> local index of its ``_out`` port.
-    ghosts: Dict[str, int]
-    modules: Tuple[ModulePlan, ...]
-    drv_owner: Tuple[str, ...]
-    drv_sink: Tuple[int, ...]
-    sink_drivers: Dict[int, Tuple[int, ...]]
-    #: asserts[key] -> (local driver | None, export register | None,
-    #:                  local source index | None, const, global index)
-    asserts: Dict[
-        CycleKey,
-        Tuple[Tuple[Optional[int], Optional[str], Optional[int], int, int], ...],
-    ]
-    #: releases[key] -> (local driver | None, global index)
-    releases: Dict[CycleKey, Tuple[Tuple[Optional[int], int], ...]]
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +279,6 @@ def lower(model: RTModel, digest: Optional[str] = None) -> Plan:
     asserts: Dict[CycleKey, List[AssertAction]] = {}
     releases: Dict[CycleKey, List[int]] = {}
     spec_rows: List[Tuple[int, int, str, str]] = []
-    spec_exports: List[Optional[str]] = []
-    registers = model.registers
     for spec in model.trans_specs():
         sink = port_of(spec.sink)
         if sink not in resolved_set:
@@ -353,18 +303,6 @@ def lower(model: RTModel, digest: Optional[str] = None) -> Plan:
             (spec.step, int(spec.phase.succ())), []
         ).append(drv)
         spec_rows.append((spec.step, phase_int, spec.source, spec.sink))
-        export = None
-        if spec.phase is Phase.WB and spec.sink.endswith("_in"):
-            base = spec.sink[: -len("_in")]
-            if base in registers:
-                export = base
-        spec_exports.append(export)
-
-    from .partition import clusters_from_rows  # deferred: no cycle at import
-
-    clusters = clusters_from_rows(
-        tuple(model.buses), tuple(model.modules), spec_rows
-    )
 
     return Plan(
         version=PLAN_VERSION,
@@ -387,8 +325,6 @@ def lower(model: RTModel, digest: Optional[str] = None) -> Plan:
         asserts={key: tuple(acts) for key, acts in asserts.items()},
         releases={key: tuple(drvs) for key, drvs in releases.items()},
         spec_rows=tuple(spec_rows),
-        spec_exports=tuple(spec_exports),
-        clusters=tuple(tuple(sorted(c)) for c in clusters),
     )
 
 
@@ -884,109 +820,3 @@ def compile_module_eval_batch(
         return out
 
     return nonpipe_eval
-
-
-# ----------------------------------------------------------------------
-# shard slicing
-# ----------------------------------------------------------------------
-def slice_for_shard(plan: Plan, shard_plan: Any, shard: int) -> PlanSlice:
-    """Project ``plan`` onto one shard of ``shard_plan``.
-
-    Builds the local port table in the same order the per-worker
-    engine used to build it from the model -- owned buses (with their
-    global declaration index), ghost register outputs for the shard's
-    reads, then owned module ports -- and rewrites the global action
-    tables into local driver/source indices.  Entries keep the global
-    spec index ``gidx``: the conflict-order and barrier-merge identity.
-    """
-    names: List[str] = []
-    inits: List[int] = []
-    index: Dict[str, int] = {}
-
-    def port(name: str, init: int) -> int:
-        idx = len(names)
-        names.append(name)
-        inits.append(init)
-        index[name] = idx
-        return idx
-
-    bus_decl: Dict[int, int] = {}
-    for decl in range(plan.bus_count):
-        bus = plan.port_names[decl]
-        if shard_plan.bus_shard[bus] == shard:
-            bus_decl[port(bus, DISC)] = decl
-    ghosts: Dict[str, int] = {}
-    for reg in shard_plan.reads[shard]:
-        ghosts[reg] = port(f"{reg}_out", DISC)
-    modules: List[ModulePlan] = []
-    for mp in plan.modules:
-        if shard_plan.module_shard[mp.name] != shard:
-            continue
-        in_idxs = tuple(
-            port(f"{mp.name}_in{i}", DISC) for i in range(1, mp.arity + 1)
-        )
-        out_idx = port(f"{mp.name}_out", DISC)
-        op_idx = None
-        if mp.op_idx is not None:
-            op_idx = port(f"{mp.name}_op", DISC)
-        modules.append(
-            replace(mp, in_idxs=in_idxs, out_idx=out_idx, op_idx=op_idx)
-        )
-
-    drv_owner: List[str] = []
-    drv_sink: List[int] = []
-    sink_drivers: Dict[int, List[int]] = {}
-    asserts: Dict[CycleKey, List[tuple]] = {}
-    releases: Dict[CycleKey, List[tuple]] = {}
-    for gidx, (step, phase_int, source, sink_name) in enumerate(
-        plan.spec_rows
-    ):
-        if shard_plan.spec_shards[gidx] != shard:
-            continue
-        export_reg = plan.spec_exports[gidx]
-        if source.startswith("op:"):
-            src: Optional[int] = None
-            # Recover the op-code constant from the global assert table
-            # entry for this spec (drivers are the global spec index).
-            const = _global_const(plan, step, phase_int, gidx)
-        else:
-            src, const = index[source], 0
-        if export_reg is None:
-            sink = index[sink_name]
-            drv: Optional[int] = len(drv_owner)
-            drv_owner.append(plan.drv_owner[gidx])
-            drv_sink.append(sink)
-            sink_drivers.setdefault(sink, []).append(drv)
-        else:
-            drv = None
-        asserts.setdefault((step, phase_int), []).append(
-            (drv, export_reg, src, const, gidx)
-        )
-        release_key = (step, (phase_int + 1) % PHASES_PER_STEP)
-        releases.setdefault(release_key, []).append((drv, gidx))
-
-    return PlanSlice(
-        shard=shard,
-        names=tuple(names),
-        inits=tuple(inits),
-        index=index,
-        bus_decl=bus_decl,
-        ghosts=ghosts,
-        modules=tuple(modules),
-        drv_owner=tuple(drv_owner),
-        drv_sink=tuple(drv_sink),
-        sink_drivers={
-            sink: tuple(drvs) for sink, drvs in sink_drivers.items()
-        },
-        asserts={key: tuple(acts) for key, acts in asserts.items()},
-        releases={key: tuple(rels) for key, rels in releases.items()},
-    )
-
-
-def _global_const(plan: Plan, step: int, phase_int: int, gidx: int) -> int:
-    for drv, _src, const in plan.asserts[(step, phase_int)]:
-        if drv == gidx:
-            return const
-    raise ModelError(  # pragma: no cover - plan invariant
-        f"plan has no assert entry for spec {gidx} at ({step}, {phase_int})"
-    )

@@ -57,7 +57,6 @@ def run_ik_chip(
     backend: str = "event",
     transfer_engine: bool = True,
     observe=None,
-    shards: Optional[int] = None,
     plan_cache=None,
 ) -> IKSRun:
     """Simulate the IKS chip solving for target ``(px, py)``."""
@@ -65,7 +64,7 @@ def run_ik_chip(
     model, translation = build_ik_model(px, py, cfg)
     sim = model.elaborate(
         trace=trace, backend=backend, transfer_engine=transfer_engine,
-        observe=observe, shards=shards, plan_cache=plan_cache,
+        observe=observe, plan_cache=plan_cache,
     ).run()
     theta1 = sim[RESULT_REGISTERS["theta1"]]
     theta2 = sim[RESULT_REGISTERS["theta2"]]
@@ -87,7 +86,6 @@ def crosscheck(
     transfer_engine: bool = True,
     trace: bool = False,
     observe=None,
-    shards: Optional[int] = None,
     plan_cache=None,
 ) -> tuple[IKSRun, IKSolution]:
     """Run chip and algorithmic reference on the same target.
@@ -98,7 +96,7 @@ def crosscheck(
     cfg = config or IKSConfig()
     run = run_ik_chip(
         px, py, cfg, trace=trace, backend=backend,
-        transfer_engine=transfer_engine, observe=observe, shards=shards,
+        transfer_engine=transfer_engine, observe=observe,
         plan_cache=plan_cache,
     )
     reference = solve_ik(px, py, cfg.geometry, cfg.fmt, cfg.cordic_spec)
@@ -208,7 +206,6 @@ def run_ik3_chip(
     transfer_engine: bool = True,
     trace: bool = False,
     observe=None,
-    shards: Optional[int] = None,
     plan_cache=None,
 ) -> IK3Run:
     """Simulate the chip solving the 3-DOF problem (position + tool
@@ -219,7 +216,7 @@ def run_ik3_chip(
     model = build_ik3_model(px, py, phi, cfg)
     sim = model.elaborate(
         backend=backend, transfer_engine=transfer_engine, trace=trace,
-        observe=observe, shards=shards, plan_cache=plan_cache,
+        observe=observe, plan_cache=plan_cache,
     ).run()
     theta1 = sim[IK3_RESULT_REGISTERS["theta1"]]
     theta2 = sim[IK3_RESULT_REGISTERS["theta2"]]

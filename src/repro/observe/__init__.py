@@ -37,8 +37,8 @@ compiled executor, clocked translation, handshake network):
   every backend and the stream server, exported as Prometheus text or
   JSON (``repro metrics`` / ``--metrics-out``);
 * :class:`SpanTracer` -- hierarchical wall-clock spans (elaborate,
-  plan, run, per-step, per-phase, per-shard worker) on the Profiler's
-  clock, exported as Chrome trace-event JSON (``--trace-out``).
+  plan, run, per-step, per-phase) on the Profiler's clock, exported
+  as Chrome trace-event JSON (``--trace-out``).
 """
 
 from .attach import KernelProbeAdapter

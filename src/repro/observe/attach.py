@@ -9,8 +9,7 @@ observations with the ``(CS, PH)`` in force and forwards them through
 :func:`~repro.observe.emit.emit_canonical_cycle` -- the shared
 canonical per-cycle order (step boundary on RA only, phase boundary,
 bus drives in bus declaration order, register latches in register
-declaration order) that the sharded coordinator and the compiled
-executors use too.
+declaration order) that the compiled executors use too.
 
 Conflicts are *not* produced here: the simulation's own
 :class:`ConflictMonitor` forwards them via its record listener, which

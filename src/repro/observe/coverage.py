@@ -6,8 +6,8 @@ provoked".  This module defines what those words mean -- on the one
 lowered :class:`~repro.engine.plan.Plan` every backend executes -- and
 measures them from the same canonical probe stream the assertion
 monitor consumes, so the numbers are bit-identical whether a run went
-through the event kernel, the compiled loop, a batched lane or the
-sharded coordinator (differential-tested in
+through the event kernel, the compiled loop or a batched lane
+(differential-tested in
 ``tests/observe/test_coverage_differential.py``).
 
 The universe (:class:`CoverageModel`, derived from a Plan):
@@ -553,7 +553,7 @@ class CoverageProbe(Probe):
     """Measures structural coverage online from the canonical stream.
 
     Attach to any backend that emits per-cycle callbacks (event,
-    compiled, sharded, batched at N == 1).  The universe is derived
+    compiled, batched at N == 1).  The universe is derived
     from the backend's own Plan at ``on_run_start`` (or pass a
     prebuilt :class:`CoverageModel`); the verdict lands in ``report``
     at ``on_run_end``.  Same flush discipline as the assertion

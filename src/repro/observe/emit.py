@@ -9,9 +9,8 @@ and register latches in register declaration order.
 
 :func:`emit_canonical_cycle` is that contract as code.  The event
 kernel's :class:`~repro.observe.attach.KernelProbeAdapter`, the
-compiled executor, the batched executor (N == 1) and the sharded
-coordinator's step re-serialization all call it instead of each
-re-implementing the ordering; the NDJSON stream server inherits the
+compiled executor, the generated executor and the batched executor
+(N == 1) all call it instead of each re-implementing the ordering; the NDJSON stream server inherits the
 order for free by being an ordinary probe.
 """
 

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` instance -- the module-level
 :data:`REGISTRY` -- collects operational counters from every layer
 that wants to report them: the plan cache (hits, misses, build
-milliseconds), the four simulation backends (runs, control steps,
-dispatches, batch lanes, shard sync traffic) and the
+milliseconds), the simulation backends (runs, control steps,
+dispatches, batch lanes) and the
 :class:`~repro.observe.stream.StreamServer` (clients served, events
 emitted, events dropped).  The registry is the machine-facing twin of
 :func:`repro.engine.run_metrics`: ``run_metrics`` renders *one run* as
@@ -674,23 +674,6 @@ def record_backend_run(backend: Any) -> None:
             "repro_lanes_total",
             "Input vectors swept by batched runs.",
         ).inc(batch_size)
-    shard_metrics = getattr(backend, "shard_metrics", None)
-    if shard_metrics:
-        REGISTRY.counter(
-            "repro_shard_syncs_total",
-            "Control-step barriers completed, summed over shards.",
-        ).inc(sum(m["syncs"] for m in shard_metrics))
-        REGISTRY.counter(
-            "repro_shard_sync_bytes_total",
-            "Bytes exchanged over worker pipes at step barriers.",
-        ).inc(sum(
-            m["bytes_to_worker"] + m["bytes_from_worker"]
-            for m in shard_metrics
-        ))
-        REGISTRY.gauge(
-            "repro_shards",
-            "Worker-process count of the most recent sharded run.",
-        ).set(len(shard_metrics))
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,9 @@ Property catalogue (all composable, all backends):
 * :func:`stable_between` -- a register must keep one value across the
   inclusive control-step window ``[cs_lo, cs_hi]``.
 
-Identical verdicts on all four RT backends:
+Identical verdicts on every RT backend:
 
-* **event / compiled / sharded** (and batched at N == 1) attach an
+* **event / compiled** (and batched at N == 1) attach an
   :class:`AssertionMonitor` probe via ``observe=`` and evaluate online
   -- the canonical emission order makes the verdict backend-independent.
 * **compiled-batched at N > 1** has no per-signal probe stream, so
@@ -657,7 +657,7 @@ def check_model(
 ) -> Union[AssertionReport, List[AssertionReport]]:
     """Run ``model`` under ``backend`` and return its assertion verdict.
 
-    Scalar backends (``event``/``compiled``/``sharded``) attach an
+    Scalar backends (``event``/``compiled``/``compiled-py``) attach an
     online :class:`AssertionMonitor`.  ``compiled-batched`` sweeps a
     *sequence* of register-value vectors in one run and returns one
     report per lane (a single mapping returns a single report), with

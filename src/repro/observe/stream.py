@@ -300,6 +300,12 @@ class StreamServer(Probe):
         from .metrics import record_stream_close
 
         record_stream_close(self)
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does (accept then fails with OSError).
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
         with self._lock:
             slots = list(self._slots)

@@ -5,10 +5,9 @@
 ``ra``/``rb``/``cm``/``wa``/``wb``/``cr`` spans -- plus the
 elaboration-side spans the CLI opens around it (``elaborate``, with
 the plan resolution synthesized underneath from the backend's
-``plan_build_ms``) and, for sharded runs, one worker span per shard
-re-parented onto its own track by the coordinator (workers are
-separate processes; their wall comes back through the barrier
-metrics, so the coordinator re-emits it into the one trace file).
+``plan_build_ms``).  Service-side sources (one per connection or
+batching lane) get their own named tracks via
+:meth:`SpanTracer.alloc_track`.
 
 Spans share the :class:`~repro.observe.profiler.Profiler`'s clock
 (``time.perf_counter``) and are cut at exactly the same probe
@@ -38,8 +37,8 @@ from .probe import Probe
 
 __all__ = ["RequestContext", "SpanTracer", "new_trace_id"]
 
-#: Track ids: the coordinator's spans live on tid 0; shard K's
-#: synthesized worker span lives on tid K + 1.
+#: Track id of the run-side spans; :meth:`SpanTracer.alloc_track`
+#: hands out the ids above it.
 MAIN_TID = 0
 
 
@@ -57,8 +56,7 @@ class SpanTracer(Probe):
         #: Completed spans as Chrome trace events (``ph="X"``).
         self.spans: List[Dict[str, Any]] = []
         #: Explicit track names (tid -> label) set via
-        #: :meth:`alloc_track`; tids without a label keep the
-        #: main/shard naming convention in :meth:`_metadata`.
+        #: :meth:`alloc_track`; :meth:`_metadata` names the rest.
         self.track_labels: Dict[int, str] = {}
         self._next_tid = 1
         self._run_start: Optional[float] = None
@@ -101,8 +99,7 @@ class SpanTracer(Probe):
 
         ``start``/``end`` are ``perf_counter`` readings on this
         tracer's clock; ``dur`` (seconds) may replace ``end`` for
-        spans whose duration was measured elsewhere (plan build,
-        shard worker walls)."""
+        spans whose duration was measured elsewhere (plan build)."""
         if dur is None:
             dur = (end if end is not None else self._now()) - start
         event = {
@@ -180,58 +177,36 @@ class SpanTracer(Probe):
         self._run_start = None
 
     # ------------------------------------------------------------------
-    # coordinator-side synthesis
+    # backend-side synthesis
     # ------------------------------------------------------------------
     def annotate_backend(self, backend: Any) -> None:
-        """Synthesize spans only the backend knows about.
+        """Synthesize the plan-resolution span only the backend knows.
 
-        * plan resolution: ``plan_build_ms`` happened inside
-          elaboration; re-emit it as a child at the elaborate span's
-          start (or the clock origin when elaboration was not
-          bracketed), named after the cache verdict;
-        * sharded workers: each worker's execution wall (from the
-          barrier metrics) becomes one span on its own track,
-          re-parented under the coordinator's run span.
+        ``plan_build_ms`` happened inside elaboration; re-emit it as a
+        child at the elaborate span's start (or the clock origin when
+        elaboration was not bracketed), named after the cache verdict.
         """
         state = getattr(backend, "plan_cache_state", None)
-        if state is not None:
-            if self._elaborate_span is not None:
-                plan_ts = self._elaborate_span["ts"]
-            else:
-                plan_ts = 0.0
-            build_ms = getattr(backend, "plan_build_ms", 0.0)
-            event = {
-                "name": f"plan:{state}",
-                "cat": "plan",
-                "ph": "X",
-                "ts": plan_ts,
-                "dur": build_ms * 1e3,
-                "pid": 0,
-                "tid": MAIN_TID,
-            }
-            plan = getattr(backend, "model_plan", None)
-            if plan is not None:
-                event["args"] = {"digest": plan.digest[:16]}
-            self.spans.append(event)
-        run_span = next(
-            (s for s in reversed(self.spans) if s["name"] == "run"), None
-        )
-        run_ts = run_span["ts"] if run_span is not None else 0.0
-        for row in getattr(backend, "shard_metrics", None) or ():
-            self.spans.append({
-                "name": f"shard{int(row['shard'])}:execute",
-                "cat": "shard",
-                "ph": "X",
-                "ts": run_ts,
-                "dur": row["worker_wall"] * 1e6,
-                "pid": 0,
-                "tid": int(row["shard"]) + 1,
-                "args": {
-                    "syncs": row["syncs"],
-                    "bytes_to_worker": row["bytes_to_worker"],
-                    "bytes_from_worker": row["bytes_from_worker"],
-                },
-            })
+        if state is None:
+            return
+        if self._elaborate_span is not None:
+            plan_ts = self._elaborate_span["ts"]
+        else:
+            plan_ts = 0.0
+        build_ms = getattr(backend, "plan_build_ms", 0.0)
+        event = {
+            "name": f"plan:{state}",
+            "cat": "plan",
+            "ph": "X",
+            "ts": plan_ts,
+            "dur": build_ms * 1e3,
+            "pid": 0,
+            "tid": MAIN_TID,
+        }
+        plan = getattr(backend, "model_plan", None)
+        if plan is not None:
+            event["args"] = {"digest": plan.digest[:16]}
+        self.spans.append(event)
 
     # ------------------------------------------------------------------
     # export
@@ -247,7 +222,7 @@ class SpanTracer(Probe):
         }]
         for tid in tids:
             label = self.track_labels.get(tid) or (
-                "main" if tid == MAIN_TID else f"shard {tid - 1} worker"
+                "main" if tid == MAIN_TID else f"track {tid}"
             )
             events.append({
                 "name": "thread_name",

@@ -1,12 +1,10 @@
 """Tests for the generated ``compiled-py`` backend (:mod:`repro.engine.codegen`).
 
 The generated executor's contract is the same differential discipline
-that pinned the batched and sharded backends: bit-identical registers,
-traces, conflicts, all five stats counters and canonical probe order
-vs ``compiled``, on the paper's examples and under hypothesis, with
-the plain-exec path as the always-available baseline (numba is an
-optional accelerator).  The artifact cache is an accelerator, never a
-correctness hazard: warm hits must be byte-identical reuses, and any
+that pinned the batched backend: bit-identical registers, traces,
+conflicts, all five stats counters and canonical probe order vs
+``compiled``, on the paper's examples and under hypothesis.  The
+artifact cache is an accelerator, never a correctness hazard: warm hits must be byte-identical reuses, and any
 damaged artifact is discarded with exactly one warning and
 regenerated.
 """
@@ -37,7 +35,7 @@ from repro.engine.codegen import (
 )
 from repro.engine.batched import CompiledBatchedRTSimulation
 from repro.engine.compiled import CompiledRTSimulation
-from repro.engine.plan import PlanCache, resolve_plan
+from repro.engine.plan import PLAN_VERSION, PlanCache, resolve_plan
 from repro.kernel.errors import DeltaCycleLimitError
 
 from .test_differential import colliding_models, observe
@@ -167,7 +165,7 @@ def assert_bit_identical(model, **kwargs):
         gen = CodegenRTSimulation(
             model, trace=True, observe=probe_b, **kwargs
         ).run()
-    assert gen.codegen_mode in ("exec", "jit")
+    assert gen.codegen_mode == "exec"
     assert gen.registers == ref.registers
     assert vars(gen.stats) == vars(ref.stats)
     assert gen.conflicts == ref.conflicts
@@ -245,7 +243,7 @@ class TestBatchedDifferential:
         gen = CodegenBatchedRTSimulation(
             model, register_values=vecs, trace=True
         ).run()
-        assert gen.codegen_mode in ("exec", "jit")
+        assert gen.codegen_mode == "exec"
         assert gen.registers == ref.registers
         assert vars(gen.stats) == vars(ref.stats)
         assert gen.conflicts == ref.conflicts
@@ -303,7 +301,7 @@ class TestArtifactCache:
         row = run_metrics(hit)
         assert row["codegen_cache"] == "hit"
         assert row["codegen_build_ms"] >= 0.0
-        assert row["codegen_mode"] in ("exec", "jit")
+        assert row["codegen_mode"] == "exec"
 
     def test_non_codegen_backend_has_no_codegen_rows(self):
         sim = build_model().elaborate(backend="compiled").run()
@@ -316,7 +314,7 @@ class TestArtifactCache:
     ):
         """A fresh interpreter (fresh hash seed) must hit the warm
         artifact and reuse it byte-for-byte -- the property that makes
-        ``codegen/v1`` a real warm-start accelerator."""
+        the codegen tier a real warm-start accelerator."""
         model = build_model()
         sim = model.elaborate(
             backend="compiled-py", plan_cache=tmp_path
@@ -344,7 +342,7 @@ print(hashlib.sha256(
         )
         state, mode, r1, sub_sha = result.stdout.split()
         assert state == "hit"
-        assert mode in ("exec", "jit")
+        assert mode == "exec"
         assert int(r1) == sim.registers["R1"]
         assert sub_sha == parent_sha
 
@@ -373,7 +371,7 @@ print(hashlib.sha256(
         ]
         assert len(relevant) == 1
         assert sim.codegen_cache_state == "miss"
-        assert sim.codegen_mode in ("exec", "jit")
+        assert sim.codegen_mode == "exec"
         assert sim.registers["R1"] == 5
         # The entry was replaced; the next elaboration hits cleanly.
         again = model.elaborate(
@@ -477,7 +475,7 @@ class TestGcCaches:
             backend="compiled-py", plan_cache=tmp_path
         ).run()
         assert sim.codegen_cache_state == "miss"
-        plans = tmp_path / "plans" / "v1"
+        plans = tmp_path / "plans" / f"v{PLAN_VERSION}"
         codegen = tmp_path / "codegen" / f"v{CODEGEN_VERSION}"
         fake = "f" * 64
         (plans / "not-a-digest.plan").write_text("junk")

@@ -240,7 +240,7 @@ class TestBackendsShareThePlan:
         model = build_model()
         plan = lower(model)
         baseline = model.elaborate(backend="compiled").run()
-        for backend in ("compiled", "sharded"):
+        for backend in ("compiled", "compiled-py"):
             sim = model.elaborate(backend=backend, plan=plan).run()
             assert sim.registers == baseline.registers
             assert sim.plan_cache_state == "given"

@@ -110,7 +110,7 @@ class TestLeniency:
 
     def test_stale_version_header_warns_and_relowers(self, cache):
         model, plan, path = self._seed_entry(cache)
-        stale = pickle.dumps(("repro-plan", PLAN_VERSION + 1, plan))
+        stale = pickle.dumps(("repro-plan", PLAN_VERSION - 1, plan))
         path.write_bytes(stale)
         with pytest.warns(RuntimeWarning, match="discard"):
             handle = resolve_plan(model, plan_cache=cache)

@@ -62,8 +62,8 @@ class TestAtan2:
 
     @given(coords, coords)
     def test_antisymmetric_in_y(self, y, x):
-        if abs(x) < 0.01:
-            return
+        if math.hypot(x, y) < 0.1:
+            return  # quantization dominates near the origin
         if x <= 0:
             return  # antisymmetry holds off the branch cut only
         plus = FMT.decode(atan2(SPEC, FMT.encode(y), FMT.encode(x)))

@@ -3,7 +3,7 @@
 The tentpole contract of the coverage engine: the same model yields
 the *same* :class:`~repro.observe.CoverageReport` -- same universe
 totals, same sorted hit tuples -- whether measured online (event /
-compiled / sharded, and batched at N == 1) or by per-lane trace
+compiled / compiled-py, and batched at N == 1) or by per-lane trace
 replay (compiled-batched at N > 1).  Models are hypothesis-generated
 over a deliberately tight bus pool so conflicts and ILLEGAL values
 occur regularly (the same strategy as the monitor differential).
@@ -30,13 +30,13 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 @SETTINGS
 @given(colliding_models())
-def test_event_compiled_sharded_agree(model):
+def test_scalar_backends_agree(model):
     reference = measure_coverage(model, backend="event").to_dict()
     assert measure_coverage(
         model, backend="compiled"
     ).to_dict() == reference
     assert measure_coverage(
-        model, backend="sharded", shards=2
+        model, backend="compiled-py"
     ).to_dict() == reference
 
 
@@ -87,14 +87,14 @@ def test_batched_lane_replay_matches_scalar_runs(model):
 @needs_numpy
 def test_seeded_conflict_covers_the_pair_identically_everywhere():
     """The acceptance scenario: a deliberate two-driver clash marks
-    the exact same conflict pair on all four backends (batched both
-    at N == 1 and as a lane of N == 7)."""
+    the exact same conflict pair on every backend (batched both at
+    N == 1 and as a lane of N == 7)."""
     model = conflict_model()
     reference = measure_coverage(model, backend="event")
     assert reference.conflict_pairs_hit, "the clash must be covered"
     for report in (
         measure_coverage(model, backend="compiled"),
-        measure_coverage(model, backend="sharded", shards=2),
+        measure_coverage(model, backend="compiled-py"),
         measure_coverage(
             model, backend="compiled-batched", register_values={}
         ),

@@ -92,7 +92,7 @@ class TestExposition:
         )
         runs.labels(backend="event").inc(2)
         runs.labels(backend="compiled").inc()
-        registry.gauge("shards", "Worker count.").set(4)
+        registry.gauge("queue_depth", "Queued requests.").set(4)
         h = registry.histogram("build_ms", "Build wall.", buckets=(1.0, 10.0))
         h.observe(0.5)
         h.observe(3.0)
@@ -107,7 +107,7 @@ class TestExposition:
             for s in parsed["runs_total"]["samples"]
         }
         assert samples == {"event": 2.0, "compiled": 1.0}
-        assert parsed["shards"]["samples"][0]["value"] == 4.0
+        assert parsed["queue_depth"]["samples"][0]["value"] == 4.0
         buckets = {
             s["labels"]["le"]: s["value"]
             for s in parsed["build_ms_bucket"]["samples"]
@@ -248,15 +248,4 @@ class TestEngineHooks:
         parsed = parse_prometheus(REGISTRY.to_prometheus())
         assert parsed["repro_stream_events_total"]["samples"][0]["value"] == 1.0
         assert parsed["repro_stream_dropped_total"]["samples"][0]["value"] == 0.0
-        REGISTRY.reset()
-
-    def test_sharded_run_records_sync_traffic(self):
-        REGISTRY.reset()
-        fig1_model().elaborate(backend="sharded", shards=2).run()
-        parsed = parse_prometheus(REGISTRY.to_prometheus())
-        assert parsed["repro_shards"]["samples"][0]["value"] == 2.0
-        assert parsed["repro_shard_syncs_total"]["samples"][0]["value"] > 0
-        assert (
-            parsed["repro_shard_sync_bytes_total"]["samples"][0]["value"] > 0
-        )
         REGISTRY.reset()

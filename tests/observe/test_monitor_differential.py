@@ -1,10 +1,10 @@
-"""Differential property: monitor verdicts agree on all four backends.
+"""Differential property: monitor verdicts agree on every backend.
 
 The tentpole contract of the assertion subsystem: the same property
 set over the same model yields *bit-identical* verdicts -- every
 violation at the same ``(CS, PH)`` with the same signal and values --
-whether evaluated online (event / compiled / sharded, and batched at
-N == 1) or by per-lane trace replay (compiled-batched at N > 1).
+whether evaluated online (event / compiled / compiled-py, and batched
+at N == 1) or by per-lane trace replay (compiled-batched at N > 1).
 
 Models are hypothesis-generated over a deliberately tight bus pool so
 conflicts and ILLEGAL values occur regularly (the same strategy as
@@ -71,7 +71,7 @@ def test_all_backends_agree_on_verdicts(model):
         check_model(model, properties, backend="compiled")
     ) == reference
     assert verdict(
-        check_model(model, properties, backend="sharded", shards=2)
+        check_model(model, properties, backend="compiled-py")
     ) == reference
     # Batched N == 1: the online monitor over the full canonical stream.
     assert verdict(
@@ -112,8 +112,8 @@ def test_batched_lane_replay_matches_scalar_runs(model):
 @needs_numpy
 def test_seeded_conflict_localizes_identically_everywhere():
     """The acceptance scenario: a deliberate two-driver clash is
-    reported at the exact same (CS, PH) and signal on all four
-    backends (batched both at N == 1 and as a lane of N == 7)."""
+    reported at the exact same (CS, PH) and signal on every backend
+    (batched both at N == 1 and as a lane of N == 7)."""
     model = conflict_model()
     properties = default_properties(model)
 
@@ -143,7 +143,7 @@ def test_seeded_conflict_localizes_identically_everywhere():
         check_model(model, properties, backend="compiled")
     ) == expected
     assert locations(
-        check_model(model, properties, backend="sharded", shards=2)
+        check_model(model, properties, backend="compiled-py")
     ) == expected
     assert locations(
         check_model(
@@ -161,8 +161,11 @@ def test_seeded_conflict_localizes_identically_everywhere():
 
 @SETTINGS
 @given(colliding_models())
-def test_sharded_single_worker_agrees_too(model):
+def test_scalar_backends_agree(model):
+    """The scalar arms alone, so they also run without numpy."""
     properties = property_set(model)
-    assert verdict(
-        check_model(model, properties, backend="sharded", shards=1)
-    ) == verdict(check_model(model, properties, backend="event"))
+    reference = verdict(check_model(model, properties, backend="event"))
+    for backend in ("compiled", "compiled-py"):
+        assert verdict(
+            check_model(model, properties, backend=backend)
+        ) == reference

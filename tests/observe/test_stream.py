@@ -4,6 +4,7 @@ import io
 import json
 import socket
 import threading
+import time
 
 from repro.engine import run_metrics
 from repro.observe import (
@@ -183,6 +184,16 @@ class TestStreamServer:
         server = StreamServer()
         server.close()
         server.close()
+
+    def test_close_wakes_a_blocked_accept_promptly(self):
+        server = StreamServer()
+        # Give the accept thread time to block in accept(); a close()
+        # that won the race to it would pass without the wake-up.
+        time.sleep(0.2)
+        t0 = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - t0 < 0.1
+        assert not server._accept_thread.is_alive()
 
 
 class TestWatchClient:

@@ -76,18 +76,6 @@ class TestSpanHierarchy:
         assert plan_span["dur"] > 0.0
         assert len(plan_span["args"]["digest"]) == 16
 
-    def test_shard_worker_spans_on_their_own_tracks(self):
-        tracer, sim = _traced(backend="sharded", shards=2)
-        names = _by_name(tracer)
-        shard_spans = [s for s in tracer.spans if s["cat"] == "shard"]
-        assert {s["name"] for s in shard_spans} == {
-            "shard0:execute", "shard1:execute",
-        }
-        assert {s["tid"] for s in shard_spans} == {1, 2}
-        for span in shard_spans:
-            assert span["args"]["syncs"] == sim.model.cs_max
-        assert names["run"][0]["tid"] == 0
-
 
 class TestProfilerReconciliation:
     def test_phase_walls_agree(self):
@@ -131,7 +119,10 @@ class TestProfilerReconciliation:
 
 class TestChromeExport:
     def test_export_shape(self, tmp_path):
-        tracer, _ = _traced(backend="sharded", shards=2)
+        tracer, _ = _traced()
+        for label in ("conn 1", "lane deadbeef"):
+            tid = tracer.alloc_track(label)
+            tracer.add_span("stage", tracer.t0, tracer.t0 + 0.001, tid=tid)
         payload = json.loads(tracer.to_json())
         assert set(payload) == {"traceEvents", "displayTimeUnit"}
         events = payload["traceEvents"]
@@ -141,7 +132,7 @@ class TestChromeExport:
         names = {
             e["args"]["name"] for e in events if e["name"] == "thread_name"
         }
-        assert names == {"main", "shard 0 worker", "shard 1 worker"}
+        assert names == {"main", "conn 1", "lane deadbeef"}
         for event in events:
             if event["ph"] == "X":
                 assert event["ts"] >= 0.0

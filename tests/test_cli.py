@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.core import ModuleSpec, RTModel
 from repro.core.serialize import dump
 from repro.core.values_np import have_numpy
+from repro.engine import PLAN_VERSION
 from repro.vhdl import EXAMPLE_FIG1
 
 needs_numpy = pytest.mark.skipif(
@@ -751,10 +752,6 @@ class TestPlanCli:
         assert len(record["digest"]) == 64
         assert "speedup" in capsys.readouterr().out
 
-    def test_bench_plan_excludes_sharded(self, capsys):
-        assert main(["bench", "--plan", "--sharded"]) == 1
-        assert "exclusive" in capsys.readouterr().err
-
 
 class TestCoverCli:
     def test_cover_prints_the_report(self, fig1_json, capsys):
@@ -895,18 +892,14 @@ class TestTraceCli:
         assert "run" in names
         assert "cs1" in names
 
-    def test_trace_out_carries_plan_and_shard_spans(
-        self, fig1_json, tmp_path, capsys
-    ):
+    def test_trace_out_carries_plan_span(self, fig1_json, tmp_path, capsys):
         out = tmp_path / "trace.json"
         cache = tmp_path / "plans"
-        assert main(["simulate", str(fig1_json), "--backend", "sharded",
-                     "--shards", "2", "--plan-cache", str(cache),
+        assert main(["simulate", str(fig1_json), "--backend", "compiled",
+                     "--plan-cache", str(cache),
                      "--trace-out", str(out)]) == 0
         names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
         assert "plan:miss" in names
-        assert "shard0:execute" in names
-        assert "shard1:execute" in names
 
     @needs_numpy
     def test_batched_rejects_trace_out(self, fig1_json, tmp_path, capsys):
@@ -997,7 +990,7 @@ class TestCodegenCli:
             "--plan-cache", str(cache),
         ]) == 0
         capsys.readouterr()
-        (cache / "plans" / "v1" / "junk.plan").write_text("junk")
+        (cache / "plans" / f"v{PLAN_VERSION}" / "junk.plan").write_text("junk")
         assert main(["plan", "--gc", "--plan-cache", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "plans: kept 1, removed 1" in out
@@ -1021,7 +1014,7 @@ class TestCodegenCli:
         assert record["benchmark"] == "codegen-vs-compiled"
         assert record["speedup"] > 0
         case = record["cases"][0]
-        assert case["codegen"]["mode"] in ("exec", "jit")
+        assert case["codegen"]["mode"] == "exec"
         assert case["codegen"]["warm_build_ms"] >= 0.0
         assert case["compiled"]["metrics"]["deltas"] == 42
         text = capsys.readouterr().out

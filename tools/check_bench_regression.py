@@ -6,8 +6,8 @@ Usage::
     python tools/check_bench_regression.py BASELINE.json NEW.json [--floor 0.5]
 
 Both files are ``repro bench`` records of the same kind --
-``batched-vs-sequential``, ``sharded-vs-compiled``, ``plan-cache``,
-``codegen-vs-compiled`` or ``serve``.
+``batched-vs-sequential``, ``plan-cache``, ``codegen-vs-compiled``
+or ``serve``.
 The gate fails (exit 1) when the new speedup drops below ``floor``
 times the committed baseline speedup.  A *relative* floor keeps the
 gate robust to runner hardware: absolute walls vary wildly across CI
@@ -37,7 +37,6 @@ from pathlib import Path
 
 KNOWN_BENCHMARKS = (
     "batched-vs-sequential",
-    "sharded-vs-compiled",
     "plan-cache",
     "codegen-vs-compiled",
     "serve",
