@@ -418,32 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the benchmark record here (default "
-        "BENCH_batched.json, BENCH_plan.json with --plan, or "
-        "BENCH_codegen.json with --codegen); parent directories are "
-        "created",
+        "BENCH_batched.json, or BENCH_codegen.json with --codegen); "
+        "parent directories are created",
     )
     p.add_argument(
         "--repeat", type=int, default=3, metavar="N",
-        help="with --plan/--codegen: timed runs, best-of (default 3)",
-    )
-    p.add_argument(
-        "--plan", action="store_true",
-        help="benchmark cold lowering vs a warm plan-cache hit "
-        "(default model: the E6 IKS chip)",
+        help="with --codegen: timed runs, best-of (default 3)",
     )
     p.add_argument(
         "--codegen", action="store_true",
         help="benchmark the generated compiled-py executor against the "
         "compiled interpreter on Fig. 1 and the E6 IKS chip",
-    )
-    p.add_argument(
-        "--serve", action="store_true",
-        help="benchmark the simulation service (concurrent clients "
-        "against one server) vs per-request sequential compiled runs",
-    )
-    p.add_argument(
-        "--clients", type=int, default=8, metavar="N",
-        help="with --serve: concurrent load clients (default 8)",
     )
     p.set_defaults(handler=cmd_bench)
     return parser
@@ -1409,7 +1394,7 @@ def cmd_metrics(args) -> int:
             plan_cache=_plan_cache_arg(args),
         ).run()
         _print_plan_line(sim)
-    _print_codegen_line(sim)
+        _print_codegen_line(sim)
     text = (
         REGISTRY.to_json(indent=2) if args.json
         else REGISTRY.to_prometheus()
@@ -1677,39 +1662,19 @@ def cmd_bench(args) -> int:
     writes a JSON record (vectors/sec per backend, speedup, model
     size) -- the artifact CI uploads as ``BENCH_batched.json``.
 
-    ``--plan`` switches to the lowering benchmark: cold plan lowering
-    vs a warm content-addressed cache hit, recorded as
-    ``BENCH_plan.json`` (see :func:`_bench_plan`).
-
     ``--codegen`` switches to the generated-executor benchmark: the
     ``compiled-py`` backend vs the ``compiled`` interpreter on Fig. 1
     and the E6 IKS chip, recorded as ``BENCH_codegen.json`` (see
     :func:`_bench_codegen`).
 
-    ``--serve`` switches to the service load benchmark: ``--clients``
-    concurrent connections against one in-process server vs
-    per-request sequential ``compiled`` runs, every response verified
-    bit-identical, recorded as ``BENCH_serve.json`` (see
-    :func:`_bench_serve`).
+    The service and the plan and codegen cache tiers are measured end
+    to end and layer by layer by ``perfbench/`` (see its README).
     """
     import random
     import time
 
-    modes = [
-        name for name, flag in (
-            ("--plan", args.plan),
-            ("--codegen", args.codegen),
-            ("--serve", args.serve),
-        ) if flag
-    ]
-    if len(modes) > 1:
-        raise ValueError(f"{' and '.join(modes)} are exclusive")
-    if args.serve:
-        return _bench_serve(args)
     if args.codegen:
         return _bench_codegen(args)
-    if args.plan:
-        return _bench_plan(args)
     if args.vectors < 1:
         raise ValueError(f"--vectors must be >= 1, got {args.vectors}")
     if args.model:
@@ -1796,250 +1761,6 @@ def _bench_model_record(model, model_name: str) -> dict:
         "modules": len(model.modules),
         "transfers": len(model.trans_specs()),
     }
-
-
-def _bench_serve(args) -> int:
-    """`repro bench --serve`: service throughput vs per-request runs.
-
-    Both sides are measured end to end through the service at the same
-    concurrency, so the comparison isolates exactly what the tentpole
-    adds.  The *sequential* baseline is the ablation: a server with no
-    compiled-model cache (``max_models=0`` -- every request ships the
-    model document inline and pays decode + lower), no armed-sim reuse
-    and no coalescing (``max_batch=1`` -- every request is its own
-    sequential ``compiled`` elaborate + run).  The *serve* side is the
-    real configuration: the model is submitted once, and ``--vectors``
-    single-vector simulate requests over ``--clients`` keep-alive
-    connections coalesce into plane sweeps over re-armed cached
-    elaborations.  Every response's registers and clean flag are
-    verified bit-identical to an in-process sequential ``compiled``
-    run before the record is written (``BENCH_serve.json``).
-    """
-    import random
-    import time
-
-    from .core.serialize import model_to_dict
-    from .serve import ServeClient, drive_load, serve_in_thread
-    from .serve.protocol import decode_registers
-
-    if args.vectors < 1:
-        raise ValueError(f"--vectors must be >= 1, got {args.vectors}")
-    if args.clients < 1:
-        raise ValueError(f"--clients must be >= 1, got {args.clients}")
-    if args.model:
-        model = load_model(args.model)
-        model_name = model.name
-    else:
-        model = _bench_default_model()
-        model_name = "fig1 (built-in)"
-    rng = random.Random(args.seed)
-    vectors = [
-        {
-            name: rng.randrange(0, 1 << model.width)
-            for name in model.registers
-        }
-        for _ in range(args.vectors)
-    ]
-
-    # In-process reference results for the bit-identity check (and a
-    # transport-free reference rate for the record).
-    t0 = time.perf_counter()
-    sequential = [
-        model.elaborate(register_values=vec, backend="compiled").run()
-        for vec in vectors
-    ]
-    ref_wall = time.perf_counter() - t0
-
-    document = model_to_dict(model)
-    warm = min(4 * args.clients, args.vectors)
-
-    # -- baseline: per-request sequential compiled service (ablation) --
-    base = serve_in_thread(
-        backend="compiled",
-        max_batch=1,
-        max_models=0,
-        reuse_sims=False,
-        max_pending=max(256, 4 * args.clients),
-    )
-    try:
-        host, port = base.address
-        drive_load(host, port, document, vectors[:warm], clients=args.clients)
-        seq_results: dict = {}
-        seq_load = drive_load(
-            host, port, document, vectors,
-            clients=args.clients, results=seq_results,
-        )
-    finally:
-        base.close()
-
-    # -- the real thing: cache + batched lane multiplexing -------------
-    handle = serve_in_thread(max_pending=max(256, 4 * args.clients))
-    try:
-        client = ServeClient(*handle.address)
-        digest = client.submit(model)["digest"]
-        client.close()
-        host, port = handle.address
-        # Warm-up pass: connection setup, lane creation, first sweep.
-        drive_load(host, port, digest, vectors[:warm], clients=args.clients)
-        results: dict = {}
-        load = drive_load(
-            host, port, digest, vectors,
-            clients=args.clients, results=results,
-        )
-        stats = handle.server.engine.stats()
-    finally:
-        handle.close()
-
-    for side, run in (("sequential", seq_load), ("serve", load)):
-        if run["errors"]:
-            print(
-                f"error: {run['errors']} of {args.vectors} {side} requests "
-                f"failed ({', '.join(run['error_codes'])})",
-                file=sys.stderr,
-            )
-            return 1
-    mismatches = [
-        i
-        for i, sim in enumerate(sequential)
-        for got in (results, seq_results)
-        if i not in got
-        or decode_registers(got[i]["registers"]) != sim.registers
-        or got[i]["clean"] != sim.clean
-    ]
-    if mismatches:
-        print(
-            f"error: served results differ from sequential runs for "
-            f"vectors {sorted(set(mismatches))[:8]}",
-            file=sys.stderr,
-        )
-        return 1
-
-    speedup = (
-        load["rps"] / seq_load["rps"] if seq_load["rps"] > 0 else float("inf")
-    )
-    record = {
-        "benchmark": "serve",
-        "model": _bench_model_record(model, model_name),
-        "vectors": args.vectors,
-        "seed": args.seed,
-        "clients": args.clients,
-        "backend": stats["backend"],
-        "sequential": {
-            "backend": "compiled",
-            "per_request": "decode + lower + elaborate + run, no "
-                           "coalescing (max_models=0, max_batch=1)",
-            "wall": seq_load["wall_s"],
-            "requests_per_sec": seq_load["rps"],
-            "p50_ms": seq_load["p50_ms"],
-            "p99_ms": seq_load["p99_ms"],
-        },
-        "reference_in_process": {
-            "backend": "compiled",
-            "wall": ref_wall,
-            "requests_per_sec": (
-                args.vectors / ref_wall if ref_wall > 0 else float("inf")
-            ),
-        },
-        "serve": {
-            "wall": load["wall_s"],
-            "requests_per_sec": load["rps"],
-            "p50_ms": load["p50_ms"],
-            "p99_ms": load["p99_ms"],
-            "mean_ms": load["mean_ms"],
-            "sweeps": stats["sweeps"],
-            "batch_mean": stats["batch_mean"],
-        },
-        "speedup": speedup,
-    }
-    written = _bench_write_record(record, args.out or "BENCH_serve.json")
-    print(
-        f"{model_name}: {args.vectors} requests x {args.clients} clients "
-        f"-- per-request {seq_load['rps']:,.0f} req/s, served "
-        f"{load['rps']:,.0f} req/s (p50 {load['p50_ms']}ms, p99 "
-        f"{load['p99_ms']}ms, mean batch {stats['batch_mean']}), "
-        f"speedup {speedup:.1f}x"
-    )
-    print(f"-- wrote {written}")
-    return 0
-
-
-def _bench_plan(args) -> int:
-    """`repro bench --plan`: cold lowering vs a warm plan-cache hit.
-
-    Cold is the lowering step a cache miss pays
-    (:func:`repro.engine.plan.lower` + cache fill); warm is what a hit
-    replaces it with (read + unpickle).  The content digest is the
-    cache *key* and is computed identically on both paths, so it is
-    timed separately (``digest_ms``) rather than folded into the
-    ratio.  Everything is best-of ``--repeat`` against a fresh
-    temporary cache; the record lands in ``BENCH_plan.json`` -- the
-    artifact CI tracks for the lowering pipeline.
-    """
-    import tempfile
-    import time
-
-    from .engine.plan import PlanCache, lower, model_digest
-
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    if args.model:
-        model = load_model(args.model)
-        model_name = model.name
-    else:
-        from .iks.flow import build_ik_model
-
-        model, _ = build_ik_model(2.5, 1.0)
-        model_name = "iks E6 (built-in)"
-
-    digest_best = cold_best = warm_best = None
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = PlanCache(tmp)
-        plan = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            digest = model_digest(model)
-            digest_ms = time.perf_counter() - t0
-            stale = cache.path_for(digest)
-            if stale.exists():
-                stale.unlink()
-            t0 = time.perf_counter()
-            plan = lower(model, digest=digest)
-            cache.put(plan)
-            cold = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            warm_plan = cache.get(digest)
-            warm = time.perf_counter() - t0
-            if warm_plan is None or warm_plan.digest != plan.digest:
-                print("error: warm cache read did not return the plan",
-                      file=sys.stderr)
-                return 1
-
-            def best(prev, cur):
-                return cur if prev is None else min(prev, cur)
-
-            digest_best = best(digest_best, digest_ms)
-            cold_best = best(cold_best, cold)
-            warm_best = best(warm_best, warm)
-
-    speedup = cold_best / warm_best if warm_best > 0 else float("inf")
-    record = {
-        "benchmark": "plan-cache",
-        "model": _bench_model_record(model, model_name),
-        "digest": plan.digest,
-        "repeat": args.repeat,
-        "digest_ms": digest_best * 1e3,
-        "cold_ms": cold_best * 1e3,
-        "warm_ms": warm_best * 1e3,
-        "speedup": speedup,
-    }
-    written = _bench_write_record(record, args.out or "BENCH_plan.json")
-    print(
-        f"{model_name}: cold lower {cold_best * 1e3:.2f} ms, warm hit "
-        f"{warm_best * 1e3:.2f} ms, speedup {speedup:.1f}x "
-        f"(digest {plan.digest[:16]}, keyed in {digest_best * 1e3:.2f} ms)"
-    )
-    print(f"-- wrote {written}")
-    return 0
 
 
 def _bench_codegen(args) -> int:

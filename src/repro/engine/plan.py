@@ -41,6 +41,7 @@ intermediate representation:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import marshal
 import os
@@ -378,11 +379,20 @@ def _fn_fingerprint(fn: Any) -> str:
 
     Plain functions/lambdas hash their ``marshal``-ed code object plus
     defaults and closure-cell contents; bound methods add their
-    ``__self__`` state.  Anything opaque falls back to its qualified
-    name -- a coarser key that can only cause spurious cache *misses*,
-    never false hits within one code version.
+    ``__self__`` state; ``functools.partial`` objects hash their
+    ``func``, ``args`` and ``keywords``.  Anything else falls back to
+    its qualified name.  That fallback is still coarse: a callable
+    instance (an object with ``__call__``) fingerprints as its class,
+    so two instances with different state share a digest -- a false
+    hit.  Globals a function reads are not hashed either.
     """
     try:
+        if isinstance(fn, functools.partial):
+            return hashlib.sha256("\x1f".join((
+                _fn_fingerprint(fn.func),
+                _value_fingerprint(fn.args),
+                _value_fingerprint(sorted(fn.keywords.items())),
+            )).encode()).hexdigest()
         code = getattr(fn, "__code__", None)
         if code is not None:
             parts = [marshal.dumps(code)]

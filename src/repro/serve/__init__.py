@@ -13,7 +13,7 @@ back to each caller -- bit-identical to sequential ``compiled`` runs.
   deadlines, graceful drain.
 * :class:`ModelCache` -- the in-process compiled-model cache.
 * :class:`ServeClient` / :func:`run_load` -- sync client and the
-  bench/CI load driver.
+  CI load-smoke driver.
 
 See ``docs/serving.md`` for the wire schema and semantics.
 """

@@ -249,7 +249,6 @@ class BatchingEngine:
         max_pending: int = 256,
         batch_window_ms: float = 0.0,
         executor: Any = None,
-        reuse_sims: bool = True,
         on_records: Optional[Callable[[str, List[dict]], None]] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> None:
@@ -261,9 +260,6 @@ class BatchingEngine:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.batch_window_ms = batch_window_ms
-        #: False drops the per-lane armed-elaboration store, forcing a
-        #: fresh elaboration every sweep -- the bench ablation mode.
-        self.reuse_sims = reuse_sims
         self._executor = executor
         #: observer hook: (digest, wire records of one sweep) -- the
         #: server fans these out to WebSocket watch subscriptions.
@@ -481,7 +477,7 @@ class BatchingEngine:
                 [req.vector for req in live],
                 lane.properties,
                 self.backend,
-                lane.state if self.reuse_sims else None,
+                lane.state,
             )
         except Exception as exc:  # a sweep bug must not kill the lane
             for req in live:

@@ -64,11 +64,9 @@ class ModelCache:
         plan_cache: PlanCacheArg = None,
         max_models: int = 64,
     ) -> None:
-        """``max_models=0`` makes the cache stateless: every document
-        resolve pays the full decode + lower trip and nothing is
-        retained (digest lookups always 404).  That is the ablation
-        mode of ``repro bench --serve`` -- a per-request service with
-        no compiled-model cache -- not a production configuration."""
+        """``max_models=0`` retains nothing: every document resolve
+        pays the full decode + lower trip and digest lookups always
+        404."""
         if max_models < 0:
             raise ValueError(f"max_models must be >= 0, got {max_models}")
         self._plan_cache = plan_cache
@@ -98,15 +96,6 @@ class ModelCache:
         except ModelError as exc:
             raise ServeError("model_error", str(exc))
         digest = handle.plan.digest
-        if self._max_models == 0:  # stateless ablation mode
-            self.submits += 1
-            return CachedDesign(
-                digest=digest,
-                model=model,
-                plan=handle.plan,
-                plan_source=handle.source,
-                plan_build_ms=handle.build_ms,
-            ), False
         with self._lock:
             hit = self._designs.get(digest)
             if hit is not None:

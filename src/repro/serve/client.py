@@ -3,9 +3,9 @@
 :class:`ServeClient` is the synchronous HTTP client (stdlib
 ``http.client``, keep-alive): submit a model once, then issue
 simulate/verify calls against its digest.  :func:`run_load` is the
-asyncio load driver behind ``repro bench --serve`` and the CI smoke
-job -- N concurrent clients, each with its own persistent connection,
-hammering one design and collecting per-request latencies.
+asyncio load driver behind ``tools/serve_load_smoke.py`` -- N
+concurrent clients, each with its own persistent connection, hammering
+one design and collecting per-request latencies.
 """
 
 from __future__ import annotations
@@ -272,12 +272,11 @@ async def run_load(
     concurrent persistent connections; returns latency/throughput
     aggregates (``rps``, ``p50_ms``, ``p99_ms``, ``errors``).
     ``model`` is a submitted design's digest, or an inline model
-    document to ship with *every* request (the bench's cache-less
-    ablation).  Pass a ``results`` dict to collect each request's
-    terminal result record keyed by its id (= the vector index, or
-    ``f"{id_prefix}{i}"`` when a prefix makes ids globally unique
-    across several runs against one server -- the smoke harness's
-    exactly-once access-log check)."""
+    document to ship with *every* request.  Pass a ``results`` dict to
+    collect each request's terminal result record keyed by its id (=
+    the vector index, or ``f"{id_prefix}{i}"`` when a prefix makes ids
+    globally unique across several runs against one server -- the
+    smoke harness's exactly-once access-log check)."""
     field = model if isinstance(model, str) else dict(model)
     payloads: List[List[dict]] = [[] for _ in range(clients)]
     for i, vector in enumerate(vectors):

@@ -188,7 +188,6 @@ class ServeServer:
         max_workers: int = 4,
         drain_timeout: float = 10.0,
         watch_queue: int = 1024,
-        reuse_sims: bool = True,
         trace: bool = False,
         trace_out: Optional[str] = None,
         access_log: Optional[str] = None,
@@ -221,7 +220,6 @@ class ServeServer:
             max_pending=max_pending,
             batch_window_ms=batch_window_ms,
             executor=self._executor,
-            reuse_sims=reuse_sims,
             on_records=self._fanout,
             tracer=self.tracer,
         )

@@ -312,10 +312,16 @@ def _monitor_oracle(
 
     One result per property: the first trial vector violating it is
     the counterexample; a property no vector violates passes with
-    ``register="*"`` (it constrains the whole run, not one output)."""
+    ``register="*"`` (it constrains the whole run, not one output).
+    Without a ``backend`` the sweep is one ``compiled-batched`` run, or
+    one scalar ``compiled`` run per vector when numpy is absent (the
+    verdicts are identical)."""
+    from ..core.values_np import have_numpy
     from ..observe import check_model
 
-    sweep_backend = backend or "compiled-batched"
+    sweep_backend = backend or (
+        "compiled-batched" if have_numpy() else "compiled"
+    )
     reports = check_model(
         model, properties, backend=sweep_backend,
         register_values=list(trial_envs),

@@ -8,6 +8,7 @@ backends must accept a pre-lowered plan as a drop-in for the model's
 own lowering.
 """
 
+import functools
 import hashlib
 import pickle
 import subprocess
@@ -133,6 +134,10 @@ print(hashlib.sha256(payload).hexdigest())
         assert sub_pickle_sha == hashlib.sha256(payload).hexdigest()
 
 
+def _add_k(k, a, b):
+    return a + b + k
+
+
 class TestDigestSensitivity:
     def test_register_init_changes_digest(self):
         base = build_model()
@@ -179,6 +184,28 @@ class TestDigestSensitivity:
             return model
 
         assert model_digest(variant(1)) != model_digest(variant(2))
+
+    def test_partial_arguments_change_digest(self):
+        """Fig. 1 with ``partial(add_k, 1)`` and ``partial(add_k, 100)``
+        as its ADD computes different sums, so it is two chips."""
+        def variant(k):
+            model = RTModel("example", cs_max=7)
+            model.register("R1", init=2)
+            model.register("R2", init=3)
+            model.bus("B1")
+            model.bus("B2")
+            model.module(ModuleSpec(
+                "ADD",
+                operations={
+                    "ADD": Operation("ADD", 2, functools.partial(_add_k, k)),
+                },
+                latency=1,
+            ))
+            model.add_transfer("(R1,B1,R2,B2,5,ADD,6,B1,R1)")
+            return model
+
+        assert model_digest(variant(1)) == model_digest(variant(1))
+        assert model_digest(variant(1)) != model_digest(variant(100))
 
     def test_allocation_changes_digest(self):
         """Rebinding one operand to a different bus is a different

@@ -308,14 +308,14 @@ class TestWebSocket:
 
 
 # ----------------------------------------------------------------------
-# cache ablation mode (what `repro bench --serve` compares against)
+# a zero-size model cache retains nothing
 # ----------------------------------------------------------------------
 class TestStatelessCache:
     def test_max_models_zero_retains_nothing(self):
         model = tiny_model()
         expected = model.elaborate(backend="compiled").run()
         with serve_in_thread(
-            max_models=0, max_batch=1, reuse_sims=False, backend="compiled"
+            max_models=0, max_batch=1, backend="compiled"
         ) as handle:
             with ServeClient(*handle.address) as client:
                 record = client.submit(model)

@@ -6,8 +6,7 @@ Usage::
     python tools/check_bench_regression.py BASELINE.json NEW.json [--floor 0.5]
 
 Both files are ``repro bench`` records of the same kind --
-``batched-vs-sequential``, ``plan-cache``, ``codegen-vs-compiled``
-or ``serve``.
+``batched-vs-sequential`` or ``codegen-vs-compiled``.
 The gate fails (exit 1) when the new speedup drops below ``floor``
 times the committed baseline speedup.  A *relative* floor keeps the
 gate robust to runner hardware: absolute walls vary wildly across CI
@@ -15,15 +14,9 @@ machines, but each record's speedup is a ratio measured on the same
 machine in the same job, so a halving of that ratio is a genuine
 regression, not noise.
 
-``serve`` records additionally gate tail latency: the measured
-``serve.p99_ms`` must stay below ``--p99-ceiling`` times the baseline
-p99 (same relative-ratio rationale -- an absolute tail budget would
-flake across runners, a 3x blow-up of the tail on the same machine is
-a real scheduling regression).
-
-A missing baseline file is not a failure: newly introduced benchmark
-artifacts (e.g. ``BENCH_plan.json``) have no committed baseline on
-older branches, so the gate prints a note and passes until one lands.
+A missing baseline file is not a failure: a newly introduced benchmark
+artifact has no committed baseline on older branches, so the gate
+prints a note and passes until one lands.
 
 Exit codes: 0 pass (or no baseline yet), 1 regression, 2 unusable input.
 """
@@ -37,14 +30,12 @@ from pathlib import Path
 
 KNOWN_BENCHMARKS = (
     "batched-vs-sequential",
-    "plan-cache",
     "codegen-vs-compiled",
-    "serve",
 )
 
 
-def load_record(path: Path) -> tuple[str, float, dict]:
-    """Return ``(benchmark_kind, speedup, record)`` for a bench record."""
+def load_record(path: Path) -> tuple[str, float]:
+    """Return ``(benchmark_kind, speedup)`` for a bench record."""
     try:
         record = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
@@ -58,14 +49,7 @@ def load_record(path: Path) -> tuple[str, float, dict]:
     speedup = record.get("speedup")
     if not isinstance(speedup, (int, float)) or speedup <= 0:
         raise SystemExit(f"error: {path} has no usable 'speedup' field")
-    return kind, float(speedup), record
-
-
-def serve_p99(record: dict, path: Path) -> float:
-    p99 = (record.get("serve") or {}).get("p99_ms")
-    if not isinstance(p99, (int, float)) or p99 <= 0:
-        raise SystemExit(f"error: {path} has no usable 'serve.p99_ms' field")
-    return float(p99)
+    return kind, float(speedup)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,23 +63,16 @@ def main(argv: list[str] | None = None) -> int:
         help="minimum allowed fraction of the baseline speedup "
         "(default: 0.5)",
     )
-    parser.add_argument(
-        "--p99-ceiling",
-        type=float,
-        default=3.0,
-        help="serve records only: maximum allowed multiple of the "
-        "baseline serve.p99_ms (default: 3.0)",
-    )
     args = parser.parse_args(argv)
 
-    new_kind, new, new_record = load_record(args.new)
+    new_kind, new = load_record(args.new)
     if not args.baseline.exists():
         print(
             f"no baseline at {args.baseline}; measured {new_kind} "
             f"speedup {new:.2f}x accepted (nothing to compare against)"
         )
         return 0
-    base_kind, baseline, base_record = load_record(args.baseline)
+    base_kind, baseline = load_record(args.baseline)
     if base_kind != new_kind:
         raise SystemExit(
             f"error: benchmark kinds differ: baseline {args.baseline} is "
@@ -108,34 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"baseline speedup : {baseline:8.2f}x  ({args.baseline})")
     print(f"measured speedup : {new:8.2f}x  ({args.new})")
     print(f"floor            : {threshold:8.2f}x  ({args.floor:.0%} of baseline)")
-    failed = False
     if new < threshold:
         print(
             f"FAIL: {new_kind} speedup regressed to {ratio:.0%} of the "
             f"baseline (floor {args.floor:.0%})"
         )
-        failed = True
-    else:
-        print(f"OK: measured speedup is {ratio:.0%} of the baseline")
-    if new_kind == "serve":
-        base_p99 = serve_p99(base_record, args.baseline)
-        new_p99 = serve_p99(new_record, args.new)
-        ceiling = args.p99_ceiling * base_p99
-        print(f"baseline p99     : {base_p99:8.3f}ms")
-        print(f"measured p99     : {new_p99:8.3f}ms")
-        print(
-            f"ceiling          : {ceiling:8.3f}ms  "
-            f"({args.p99_ceiling:g}x baseline)"
-        )
-        if new_p99 > ceiling:
-            print(
-                f"FAIL: serve p99 blew up to {new_p99 / base_p99:.1f}x the "
-                f"baseline (ceiling {args.p99_ceiling:g}x)"
-            )
-            failed = True
-        else:
-            print(f"OK: p99 is {new_p99 / base_p99:.1f}x the baseline")
-    return 1 if failed else 0
+        return 1
+    print(f"OK: measured speedup is {ratio:.0%} of the baseline")
+    return 0
 
 
 if __name__ == "__main__":
