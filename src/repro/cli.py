@@ -310,13 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free one (default 8349)",
     )
     p.add_argument(
-        "--serve-backend", default="auto", metavar="NAME",
-        help="sweep backend: auto, adaptive, compiled, compiled-py, "
-        "compiled-batched, compiled-py-batched (default auto = "
-        "adaptive: re-armed scalar loop for small batches, numpy "
-        "plane above the crossover)",
-    )
-    p.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
         help="most lanes coalesced into one sweep (default 64)",
     )
@@ -333,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-models", type=int, default=64, metavar="N",
         help="resident compiled-model cache size (default 64)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="sweep executor threads (default 4)",
     )
     p.add_argument(
         "--plan-cache", nargs="?", const=True, default=None, metavar="DIR",
@@ -1015,15 +1004,19 @@ def _simulate_batched(args, model, overrides: dict) -> int:
     ).run()
     _print_plan_line(sim)
     _print_codegen_line(sim)
-    clean_count = int(sim.clean_mask.sum())
+    # Each read of a batch view builds all N lanes: read each once.
+    clean_mask = sim.clean_mask
+    lane_conflicts = sim.conflicts
+    lane_tracers = sim.tracers
+    clean_count = int(clean_mask.sum())
     total = len(vectors)
     if total <= 8:
         for i in range(total):
             row = " ".join(
                 f"{name}={format_value(value)}"
-                for name, value in sorted(sim.registers[i].items())
+                for name, value in sorted(sim.vector_registers(i).items())
             )
-            flag = "" if sim.clean_mask[i] else "  [conflicts]"
+            flag = "" if clean_mask[i] else "  [conflicts]"
             print(f"vector {i}: {row}{flag}")
     violation_total = 0
     if monitoring:
@@ -1037,8 +1030,8 @@ def _simulate_batched(args, model, overrides: dict) -> int:
         if args.assert_file:
             properties.extend(load_properties(args.assert_file))
         reports = [
-            evaluate_trace(model, sim.tracers[i], properties, sim.conflicts[i])
-            for i in range(total)
+            evaluate_trace(model, tracer, properties, conflicts)
+            for tracer, conflicts in zip(lane_tracers, lane_conflicts)
         ]
         violation_total = sum(len(r.violations) for r in reports)
         failing = [i for i, r in enumerate(reports) if not r.ok]
@@ -1061,14 +1054,14 @@ def _simulate_batched(args, model, overrides: dict) -> int:
         from .observe import CoverageModel, coverage_from_trace
 
         cov = CoverageModel.from_plan(sim.model_plan)
-        merged = coverage_from_trace(cov, sim.tracers[0], sim.conflicts[0])
+        merged = coverage_from_trace(cov, lane_tracers[0], lane_conflicts[0])
         for i in range(1, total):
             merged = merged.merge(
-                coverage_from_trace(cov, sim.tracers[i], sim.conflicts[i])
+                coverage_from_trace(cov, lane_tracers[i], lane_conflicts[i])
             )
         coverage_ok = _emit_coverage_report(args, merged)
     _emit_metrics_out(args)
-    conflict_total = sum(len(events) for events in sim.conflicts)
+    conflict_total = sum(len(events) for events in lane_conflicts)
     print(
         f"-- {total} vectors, {clean_count} clean, "
         f"{conflict_total} conflict events, "
@@ -1455,13 +1448,11 @@ def cmd_serve(args) -> int:
     handle = serve_in_thread(
         host=args.host,
         port=args.port,
-        backend=args.serve_backend,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         batch_window_ms=args.batch_window_ms,
         plan_cache=args.plan_cache,
         max_models=args.max_models,
-        max_workers=args.workers,
         drain_timeout=args.drain_timeout,
         access_log=args.access_log,
         trace_out=args.trace_out,
@@ -1706,11 +1697,14 @@ def cmd_bench(args) -> int:
     ).run()
     batch_wall = time.perf_counter() - t0
 
+    # Each read of a batch view builds all N lanes: read each once.
+    batched_registers = batched.registers
+    batched_clean = batched.clean_mask
     mismatches = [
         i
         for i, sim in enumerate(sequential)
-        if batched.registers[i] != sim.registers
-        or bool(batched.clean_mask[i]) != sim.clean
+        if batched_registers[i] != sim.registers
+        or bool(batched_clean[i]) != sim.clean
     ]
     if mismatches:
         print(

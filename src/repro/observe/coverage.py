@@ -696,9 +696,10 @@ def measure_coverage(
         )
         sim.run()
         cov = CoverageModel.from_plan(sim.model_plan)
+        # Each read of a batch view builds all N lanes: read once.
         reports = [
-            coverage_from_trace(cov, sim.tracers[i], sim.conflicts[i])
-            for i in range(sim.batch_size)
+            coverage_from_trace(cov, tracer, conflicts)
+            for tracer, conflicts in zip(sim.tracers, sim.conflicts)
         ]
         if per_lane:
             return reports

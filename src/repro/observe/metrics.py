@@ -715,10 +715,10 @@ def record_serve_request(op: str, code: str, latency_ms: float) -> None:
 
 
 def record_serve_batch(lanes: int, sweep_ms: float) -> None:
-    """Report one coalesced plane sweep (lanes = batch occupancy)."""
+    """Report one coalesced sweep (lanes = batch occupancy)."""
     _serve_series(("sweeps",), lambda: REGISTRY.counter(
         "repro_serve_sweeps_total",
-        "Coalesced plane sweeps executed by the batching scheduler.",
+        "Coalesced sweeps executed by the batching scheduler.",
     )).inc()
     _serve_series(("lanes",), lambda: REGISTRY.histogram(
         "repro_serve_batch_lanes",

@@ -55,7 +55,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -679,9 +678,10 @@ def check_model(
             **elaborate_kwargs,
         )
         sim.run()
+        # Each read of a batch view builds all N lanes: read once.
         reports = [
-            evaluate_trace(model, sim.tracers[i], properties, sim.conflicts[i])
-            for i in range(sim.batch_size)
+            evaluate_trace(model, tracer, properties, conflicts)
+            for tracer, conflicts in zip(sim.tracers, sim.conflicts)
         ]
         return reports[0] if single else reports
     if register_values is not None and not isinstance(register_values, Mapping):

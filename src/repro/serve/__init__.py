@@ -3,9 +3,10 @@
 The paper's clockless RT models elaborate to input-independent static
 schedules, which makes them unusually good service payloads: a design
 is submitted once (digest-keyed, plan-cache backed), and concurrent
-single-vector requests against it coalesce into one
-``compiled-batched`` plane sweep with per-lane results de-multiplexed
-back to each caller -- bit-identical to sequential ``compiled`` runs.
+single-vector requests against it coalesce into one sweep of a
+re-armed ``compiled-py`` elaboration on the sweep thread, with
+per-lane results de-multiplexed back to each caller -- bit-identical
+to sequential ``compiled`` runs.
 
 * :class:`ServeServer` / :func:`serve_in_thread` -- the asyncio HTTP +
   WebSocket server (``repro serve``).
@@ -18,7 +19,7 @@ back to each caller -- bit-identical to sequential ``compiled`` runs.
 See ``docs/serving.md`` for the wire schema and semantics.
 """
 
-from .batcher import SERVE_BACKENDS, BatchingEngine, resolve_serve_backend
+from .batcher import BatchingEngine
 from .cache import CachedDesign, ModelCache
 from .flight import FlightRecorder
 from .client import (
@@ -40,7 +41,6 @@ from .server import ServeHandle, ServeServer, serve_in_thread
 
 __all__ = [
     "ERROR_STATUS",
-    "SERVE_BACKENDS",
     "BatchingEngine",
     "CachedDesign",
     "FlightRecorder",
@@ -56,7 +56,6 @@ __all__ = [
     "encode_ndjson",
     "parse_sim_request",
     "result_of",
-    "resolve_serve_backend",
     "run_load",
     "serve_in_thread",
 ]

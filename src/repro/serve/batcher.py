@@ -1,16 +1,16 @@
 """The per-design batching scheduler.
 
 Concurrent single-vector simulate/verify requests against the same
-design (and the same property set) coalesce into one
-``compiled-batched`` plane sweep: the first request wakes the design's
-worker, which drains everything else that queued behind it (up to
-``max_batch``) into a single ``register_values`` batch, runs the sweep
-on an executor thread, and de-multiplexes per-lane registers,
-conflicts, monitor violations and clean flags back to each caller's
-future.  Batching is *natural*: while one sweep is in flight on the
-executor, new arrivals pile up in the queue and form the next batch --
-no timer is needed at load, though ``batch_window_ms`` can force a
-gathering pause (tests use it to pin deterministic batch shapes).
+design (and the same property set) coalesce into one sweep: the first
+request wakes the design's worker, which drains everything else that
+queued behind it (up to ``max_batch``) into a single batch, runs the
+lanes through one re-armed ``compiled-py`` elaboration on the sweep
+thread, and de-multiplexes per-lane registers, conflicts, monitor
+violations and clean flags back to each caller's future.  Batching is
+*natural*: while one sweep is in flight on the sweep thread, new
+arrivals pile up in the queue and form the next batch -- no timer is
+needed at load, though ``batch_window_ms`` can force a gathering
+pause (tests use it to pin deterministic batch shapes).
 
 Admission control is a server-wide bound on queued requests
 (``max_pending``): when the backlog is full a request is rejected
@@ -22,11 +22,12 @@ their own clock (the lane result of a timed-out or disconnected caller
 is simply discarded -- the sweep itself is never torn down, matching
 the cancellation semantics documented in ``docs/serving.md``).
 
-Per-lane verdicts are bit-identical to scalar ``compiled`` runs: the
-sweep reuses the exact differential-tested machinery of
-:mod:`repro.engine.batched` and, for verify requests, the per-lane
-trace replay of :func:`repro.observe.monitor.evaluate_trace` --
-the same path ``repro.observe.monitor.check_model`` takes.
+Per-lane verdicts are bit-identical to scalar ``compiled`` runs: each
+lane is a :meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`
+plus run of the differential-tested generated kernel and, for verify
+requests, the per-lane trace replay of
+:func:`repro.observe.monitor.evaluate_trace` -- the same replay
+``repro.observe.monitor.check_model`` uses for batched sweeps.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import asyncio
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.values_np import have_numpy
-from ..engine.plan import Plan
 from ..observe import recorder
 from ..observe.metrics import (
     record_serve_batch,
@@ -56,44 +55,16 @@ from ..observe.monitor import (
 from .cache import CachedDesign
 from .protocol import ServeError, SimRequest
 
-#: Backends the service can sweep with, and the auto preference order.
-SERVE_BACKENDS = (
-    "auto",
-    "adaptive",
-    "compiled",
-    "compiled-py",
-    "compiled-batched",
-    "compiled-py-batched",
-)
-
-#: ``adaptive`` batch size at which the numpy plane sweep takes over
-#: from the re-armed generated-kernel loop.  Below it, per-lane cost of
-#: the scalar loop (~15us on Fig. 1) beats the batched backends' fixed
-#: per-sweep numpy overhead; above it the batched plane amortizes.
-ADAPTIVE_CROSSOVER = 32
+#: The one sweep realization: every served lane re-arms one
+#: elaboration of the generated kernel.
+SWEEP_BACKEND = "compiled-py"
 
 #: Wakes a lane worker during shutdown.
 _STOP = object()
 
 
-def resolve_serve_backend(name: str) -> str:
-    """Map ``auto`` to the best locally available sweep policy."""
-    if name not in SERVE_BACKENDS:
-        raise ValueError(
-            f"unknown serve backend {name!r} (use one of {SERVE_BACKENDS})"
-        )
-    if name == "auto":
-        return "adaptive"
-    if name.endswith("-batched") and not have_numpy():
-        raise ValueError(
-            f"the {name} backend needs numpy (install repro[fast]) -- "
-            "use --serve-backend compiled for the scalar fallback"
-        )
-    return name
-
-
 # ----------------------------------------------------------------------
-# the sweep itself (runs on an executor thread)
+# the sweep itself (runs on the sweep thread)
 # ----------------------------------------------------------------------
 def run_sweep(
     entry: CachedDesign,
@@ -109,60 +80,27 @@ def run_sweep(
     were requested -- the lane's ``report``
     (:class:`~repro.observe.monitor.AssertionReport` ``to_dict``).
 
-    ``backend`` selects the sweep realization: an explicit batched
-    backend runs one numpy plane sweep over all vectors; a scalar
-    backend runs the lanes through **one re-armed elaboration**
-    (:meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`) -- the
-    serving hot path, ~15us per lane on Fig. 1; ``adaptive`` picks the
-    re-armed generated-kernel loop below :data:`ADAPTIVE_CROSSOVER`
-    lanes and the numpy plane above it.  All realizations are
-    bit-identical per lane (differential-tested in ``tests/serve``).
+    The lanes run through **one armed elaboration** on the scalar
+    ``backend`` (the service passes :data:`SWEEP_BACKEND`): the
+    compiled tables are input-independent, so each lane is a
+    :meth:`~repro.engine.compiled.CompiledRTSimulation.rearm` (value
+    plane reset in place) plus a kernel run instead of a fresh
+    elaboration.  Per lane this is bit-identical to a sequential
+    ``compiled`` run (differential-tested in ``tests/serve``).
 
     ``state``, when given, persists the armed elaboration across
     sweeps of the same lane (the caller must guarantee the lane's
     sweeps never overlap -- the per-lane worker serializes them).
     """
     model = entry.model
-    plan: Plan = entry.plan
-    watch = monitored_watch_list(model) if properties is not None else None
-    if backend == "adaptive":
-        if len(vectors) <= ADAPTIVE_CROSSOVER or not have_numpy():
-            backend = "compiled-py"
-        else:
-            backend = "compiled-py-batched"
-    lanes: List[dict] = []
-    if backend.endswith("-batched"):
-        sim = model.elaborate(
-            backend=backend,
-            register_values=list(vectors),
-            plan=plan,
-            watch=watch,
-        )
-        sim.run()
-        for i in range(sim.batch_size):
-            conflicts = sim.conflicts[i]
-            lane = {
-                "registers": sim.vector_registers(i),
-                "conflicts": [recorder.conflict_event(e) for e in conflicts],
-                "clean": bool(sim.clean_mask[i]),
-            }
-            if properties is not None:
-                report = evaluate_trace(
-                    model, sim.tracers[i], properties, conflicts
-                )
-                lane["report"] = report.to_dict()
-                lane["clean"] = lane["clean"] and report.ok
-            lanes.append(lane)
-        return lanes
-    # Scalar lanes share one armed elaboration: the compiled tables are
-    # input-independent, so each lane is a value-plane reset + kernel
-    # run instead of a fresh elaboration.
     key = (backend, properties is not None)
     sim = state.get(key) if state is not None else None
     if sim is None:
-        sim = model.elaborate(backend=backend, plan=plan, watch=watch)
+        watch = monitored_watch_list(model) if properties is not None else None
+        sim = model.elaborate(backend=backend, plan=entry.plan, watch=watch)
         if state is not None:
             state[key] = sim
+    lanes: List[dict] = []
     for vector in vectors:
         sim.rearm(vector)
         sim.run()
@@ -244,7 +182,6 @@ class BatchingEngine:
 
     def __init__(
         self,
-        backend: str = "auto",
         max_batch: int = 64,
         max_pending: int = 256,
         batch_window_ms: float = 0.0,
@@ -256,7 +193,7 @@ class BatchingEngine:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.backend = resolve_serve_backend(backend)
+        self.backend = SWEEP_BACKEND
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.batch_window_ms = batch_window_ms
@@ -440,14 +377,6 @@ class BatchingEngine:
             if stopped:
                 return
 
-    def _realized_backend(self, batch: int) -> str:
-        """The concrete sweep realization ``run_sweep`` will pick."""
-        if self.backend != "adaptive":
-            return self.backend
-        if batch <= ADAPTIVE_CROSSOVER or not have_numpy():
-            return "compiled-py"
-        return "compiled-py-batched"
-
     async def _dispatch(
         self, lane: _Lane, live: List[PendingRequest], gather_t0: float
     ) -> None:
@@ -499,7 +428,7 @@ class BatchingEngine:
                     "batch": seq,
                     "lanes": len(live),
                     "digest": lane.entry.digest[:12],
-                    "backend": self._realized_backend(len(live)),
+                    "backend": self.backend,
                     "traces": [
                         req.trace for req in live if req.trace is not None
                     ],

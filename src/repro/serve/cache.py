@@ -11,7 +11,7 @@ in-process reference -- the on-disk tiers keep the artifacts, so a
 re-submitted design warm-starts.
 
 Thread-safety: submits happen on the event-loop thread, sweeps read
-entries from executor threads; a lock guards the table, and entries
+entries from the sweep thread; a lock guards the table, and entries
 themselves are immutable after construction (the lazily built
 executor memo inside the codegen layer has its own lock).
 """

@@ -146,7 +146,7 @@ class SimRequest:
 
     def prop_key(self) -> Optional[str]:
         """Canonical batching key: requests sharing a property set (or
-        none at all) may share one plane sweep."""
+        none at all) may share one sweep."""
         if self.properties is None:
             return None
         return json.dumps(self.properties, sort_keys=True, separators=(",", ":"))

@@ -6,8 +6,8 @@ One :class:`ServeServer` owns the three moving parts:
   (warm-started from the on-disk ``plans/v1`` tier when a PlanCache is
   attached),
 * a :class:`~repro.serve.batcher.BatchingEngine` coalescing concurrent
-  requests per design into single plane sweeps on a thread-pool
-  executor,
+  requests per design into single sweeps of one re-armed elaboration,
+  run on one sweep thread,
 * a hand-rolled HTTP/1.1 transport (stdlib ``asyncio.start_server``;
   keep-alive, NDJSON bodies) with an RFC 6455 WebSocket upgrade at
   ``GET /v1/stream``.
@@ -54,7 +54,7 @@ from ..observe.metrics import (
 from ..observe.stream import RecordQueue
 from ..observe.trace import MAIN_TID, RequestContext, SpanTracer, new_trace_id
 from . import wsproto
-from .batcher import BatchingEngine
+from .batcher import SWEEP_BACKEND, BatchingEngine
 from .cache import ModelCache
 from .flight import FlightRecorder
 from .protocol import (
@@ -185,7 +185,6 @@ class ServeServer:
         batch_window_ms: float = 0.0,
         plan_cache: PlanCacheArg = None,
         max_models: int = 64,
-        max_workers: int = 4,
         drain_timeout: float = 10.0,
         watch_queue: int = 1024,
         trace: bool = False,
@@ -194,6 +193,11 @@ class ServeServer:
         flight_size: int = 256,
         flight_dir: Optional[str] = None,
     ) -> None:
+        if backend != "auto":
+            raise ValueError(
+                f"unknown serve backend {backend!r}: every sweep runs on "
+                f"{SWEEP_BACKEND}, so only 'auto' is accepted"
+            )
         self._host = host
         self._port = port
         self._drain_timeout = drain_timeout
@@ -211,11 +215,16 @@ class ServeServer:
         #: always-on ring of recent wide events, dumped on 5xx/SIGUSR1.
         self.flight = FlightRecorder(capacity=flight_size, directory=flight_dir)
         self.models = ModelCache(plan_cache=plan_cache, max_models=max_models)
+        # One sweep thread.  More would isolate nothing: sweeps are pure
+        # Python and hold the GIL (no served sweep calls into numpy), so
+        # while one thread compiles a design another barely runs.  And
+        # each extra thread that compiles grows its own glibc malloc
+        # arena to the compile's peak and keeps it, so the resident set
+        # would depend on which threads happened to compile.
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve-sweep"
+            max_workers=1, thread_name_prefix="repro-serve-sweep"
         )
         self.engine = BatchingEngine(
-            backend=backend,
             max_batch=max_batch,
             max_pending=max_pending,
             batch_window_ms=batch_window_ms,

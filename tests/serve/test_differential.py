@@ -1,7 +1,6 @@
 """Differential suite: served results must be bit-identical to
 sequential ``compiled`` runs -- registers, conflict records, monitor
-violations and clean flags -- at every batch shape (K in {1, 2, 7})
-and under every sweep backend the service can pick."""
+violations and clean flags -- at every batch shape (K in {1, 2, 7})."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.values import DISC
-from repro.core.values_np import have_numpy
 from repro.observe import recorder
 from repro.observe.monitor import (
     default_properties,
@@ -135,29 +133,6 @@ def test_verify_identity(model_name, k):
         ] == expected["violations"]
 
 
-EXPLICIT_BACKENDS = ["compiled", "compiled-py", "adaptive"] + (
-    ["compiled-batched", "compiled-py-batched"] if have_numpy() else []
-)
-
-
-@pytest.mark.parametrize("backend", EXPLICIT_BACKENDS)
-def test_backend_identity(backend):
-    """Every sweep realization the service can pick is bit-identical."""
-    model = fig1_model()
-    vectors = _vectors(model, 5, seed=31)
-    with serve_in_thread(
-        backend=backend, batch_window_ms=200.0
-    ) as handle:
-        with ServeClient(*handle.address) as client:
-            digest = client.submit(model)["digest"]
-        responses = _drive(handle, digest, vectors)
-    for vector, records in zip(vectors, responses):
-        expected = _expected_simulate(model, vector)
-        _conflicts, _violations, result = _served(records)
-        assert decode_registers(result["registers"]) == expected["registers"]
-        assert result["clean"] == expected["clean"]
-
-
 def test_disconnected_register_values_travel_the_wire():
     model = fig1_model()
     expected = model.elaborate(
@@ -170,25 +145,3 @@ def test_disconnected_register_values_travel_the_wire():
                 digest, register_values={"R1": "z"}
             )[-1]
     assert decode_registers(result["registers"]) == expected.registers
-
-
-def test_adaptive_crosses_over_to_the_batched_plane():
-    """Above the crossover the adaptive policy sweeps the numpy plane;
-    identity must hold there too."""
-    if not have_numpy():
-        pytest.skip("needs numpy (repro[fast])")
-    from repro.serve.batcher import ADAPTIVE_CROSSOVER, run_sweep
-    from repro.serve.cache import ModelCache
-    from repro.core.serialize import model_to_dict
-
-    model = fig1_model()
-    entry, _ = ModelCache().submit(model_to_dict(model))
-    k = ADAPTIVE_CROSSOVER + 8
-    vectors = _vectors(model, k, seed=77)
-    lanes = run_sweep(entry, vectors, None, "adaptive")
-    assert len(lanes) == k
-    for vector, lane in zip(vectors, lanes):
-        expected = _expected_simulate(model, vector)
-        assert lane["registers"] == expected["registers"]
-        assert lane["clean"] == expected["clean"]
-        assert lane["conflicts"] == expected["conflicts"]

@@ -34,7 +34,7 @@ class TestHttpRoutes:
         assert health["event"] == "health"
         assert health["status"] == "ok"
         assert health["models"] == 0
-        assert health["backend"] == "adaptive"
+        assert health["backend"] == "compiled-py"
 
     def test_submit_then_simulate_by_digest(self, server):
         model = fig1_model()
@@ -188,21 +188,25 @@ class TestAdmission:
             assert result["event"] == "result"
 
 
+def _wait_for(condition, timeout=10.0):
+    """Poll ``condition`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 class TestDisconnect:
     def test_mid_sweep_disconnect_discards_the_lane(self):
         with serve_in_thread(batch_window_ms=300.0) as handle:
             with ServeClient(*handle.address) as client:
                 digest = client.submit(tiny_model())["digest"]
+            engine = handle.server.engine
             sock = raw_socket(*handle.address)
             sock.sendall(http_request("/v1/simulate", {"model": digest}))
-            time.sleep(0.05)  # let the request enter the queue
+            _wait_for(lambda: engine.queue_depth >= 1)  # request queued
             sock.close()      # client gone while the window gathers
-            deadline = time.time() + 10.0
-            while time.time() < deadline:
-                if handle.server.engine.stats()["discarded"] >= 1:
-                    break
-                time.sleep(0.02)
-            stats = handle.server.engine.stats()
+            _wait_for(lambda: engine.stats()["discarded"] >= 1)
+            stats = engine.stats()
             # The server survives and still answers.
             with ServeClient(*handle.address) as client:
                 assert client.health()["status"] == "ok"
@@ -225,7 +229,10 @@ class TestGracefulShutdown:
 
         thread = threading.Thread(target=request)
         thread.start()
-        time.sleep(0.08)  # request is queued inside the window
+        # Close once the request is queued inside the window (or done).
+        _wait_for(
+            lambda: handle.server.engine.queue_depth >= 1 or bool(outcome)
+        )
         drained = handle.close()
         thread.join(timeout=30.0)
         assert drained is True
@@ -314,9 +321,7 @@ class TestStatelessCache:
     def test_max_models_zero_retains_nothing(self):
         model = tiny_model()
         expected = model.elaborate(backend="compiled").run()
-        with serve_in_thread(
-            max_models=0, max_batch=1, backend="compiled"
-        ) as handle:
+        with serve_in_thread(max_models=0, max_batch=1) as handle:
             with ServeClient(*handle.address) as client:
                 record = client.submit(model)
                 assert record["cached"] is False
@@ -334,13 +339,14 @@ class TestStatelessCache:
 
 
 def test_serve_backend_validation():
-    from repro.serve.batcher import SERVE_BACKENDS, resolve_serve_backend
-
-    assert resolve_serve_backend("auto") == "adaptive"
-    assert resolve_serve_backend("compiled") == "compiled"
-    with pytest.raises(ValueError):
-        resolve_serve_backend("quantum")
-    assert "adaptive" in SERVE_BACKENDS
+    # Every sweep is a re-armed compiled-py loop; "auto" is the only
+    # name, so every engine backend and every unknown name is refused.
+    for backend in (
+        "compiled", "compiled-py", "compiled-batched",
+        "compiled-py-batched", "event", "quantum",
+    ):
+        with pytest.raises(ValueError):
+            serve_in_thread(backend=backend)
 
 
 def test_json_errors_over_http(server):

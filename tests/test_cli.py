@@ -332,6 +332,17 @@ class TestCliErrorPaths:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--serve-backend", "compiled"], ["--workers", "2"]]
+    )
+    def test_serve_has_one_sweep_realization(self, argv, capsys):
+        # The service has one sweep realization on one sweep thread,
+        # so it takes no option that picks either.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBatchedCli:
     """`repro simulate --backend compiled-batched` and `repro bench`."""
