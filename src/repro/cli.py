@@ -189,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--gc", action="store_true",
-        help="prune stale/foreign entries from the on-disk plans/v1 "
-        "and codegen/v1 caches (no model file needed)",
+        help="prune stale/foreign entries from the on-disk plan and "
+        "codegen caches, and their superseded versions (no model file "
+        "needed)",
     )
     p.add_argument(
         "--plan-cache", nargs="?", const=True, default=None, metavar="DIR",
@@ -1766,8 +1767,8 @@ def _bench_codegen(args) -> int:
     excluded from the timed interval, like every bench here), verified
     bit-identical (registers, conflicts, all stats counters) before the
     ratio is recorded.  A fresh temporary artifact cache measures the
-    cold generate cost and the warm ``codegen_build_ms`` a
-    ``codegen/v1`` hit replaces it with.  The record lands in
+    cold generate cost and the warm ``codegen_build_ms`` an on-disk
+    codegen artifact hit replaces it with.  The record lands in
     ``BENCH_codegen.json`` -- the artifact CI gates with
     ``tools/check_bench_regression.py``; the top-level ``speedup`` is
     the weaker of the two cases.
@@ -1806,7 +1807,7 @@ def _bench_codegen(args) -> int:
 
     case_records = []
     for model, model_name in cases:
-        # Cold generate vs warm codegen/v1 artifact hit, against a
+        # Cold generate vs warm on-disk codegen artifact hit, against a
         # fresh cache -- measured first, before the timed runs fill the
         # in-process memo, so `cold` prices a real generate + compile
         # and `warm` an honest artifact load (the disk-first read

@@ -25,9 +25,11 @@ name -- additionally register themselves in a factory registry:
 * ``"compiled-py"``: a per-model specialized executor generated from
   the Plan IR (:mod:`repro.engine.codegen`) -- straight-line per-(step,
   phase) code with tables constant-folded into the source, cached as
-  ``codegen/v1/<digest>.py`` and compiled once with ``exec``.
-* ``"compiled-py-batched"``: the generated numpy plane sweep over the
-  same artifact (requires the ``repro[fast]`` extra).
+  ``codegen/v<CODEGEN_VERSION>/<digest>.bind.py`` and compiled once
+  with ``exec``.
+* ``"compiled-py-batched"``: the generated numpy plane sweep, a module
+  of its own (``<digest>.bind_batch.py``) generated from the same Plan
+  (requires the ``repro[fast]`` extra).
 """
 
 from __future__ import annotations

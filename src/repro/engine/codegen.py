@@ -9,22 +9,24 @@ clockless RT subset has no runtime scheduler at all -- so this module
 compiles it away:
 
 * :func:`generate_source` walks a Plan and emits one specialized
-  Python module per model: straight-line code per ``(CS, PH)`` cycle
-  with every table lookup, port index, width mask and
-  conflict-resolution order constant-folded into the source (no
-  per-event dict/tuple dispatch remains).  The module exposes
-  ``bind(...)`` returning per-control-step *chunk* thunks for the
-  scalar executor and ``bind_batch(...)`` returning their numpy
-  plane-sweep twins, plus ``CHUNK_STATS`` with the statically known
-  part of the cycle accounting.
+  Python module per model and entry point: straight-line code per
+  ``(CS, PH)`` cycle with every table lookup, port index, width mask
+  and conflict-resolution order constant-folded into the source (no
+  per-event dict/tuple dispatch remains).  Its module exposes
+  ``bind(...)``, returning per-control-step *chunk* thunks for the
+  scalar executor; :func:`generate_batch_source` emits the numpy
+  plane-sweep twin, ``bind_batch(...)``, as a module of its own.  Both
+  share one header with ``CHUNK_STATS``, the statically known part of
+  the cycle accounting.  An executor generates, compiles and caches
+  only the entry point it binds.
 
-* :class:`CodegenCache` stores the generated artifact next to the plan
-  cache as ``codegen/v<CODEGEN_VERSION>/<model_digest>.py`` (plus a
-  marshal sidecar of the compiled code object, so warm starts skip
-  both generation *and* recompilation).  Reads are lenient, mirroring
-  :class:`~repro.engine.plan.PlanCache`: a truncated, foreign or
-  digest-mismatched artifact is discarded with one RuntimeWarning and
-  regenerated.
+* :class:`CodegenCache` stores each generated artifact next to the
+  plan cache as ``codegen/v<CODEGEN_VERSION>/<model_digest>.<entry>.py``
+  (plus a marshal sidecar of the compiled code object, so warm starts
+  skip both generation *and* recompilation).  Reads are lenient,
+  mirroring :class:`~repro.engine.plan.PlanCache`: a truncated,
+  foreign or digest-mismatched artifact is discarded with one
+  RuntimeWarning and regenerated.
 
 * :class:`CodegenRTSimulation` (backend ``compiled-py``) and
   :class:`CodegenBatchedRTSimulation` (``compiled-py-batched``)
@@ -50,6 +52,8 @@ from __future__ import annotations
 import marshal
 import os
 import pickle
+import re
+import shutil
 import sys
 import time
 import warnings
@@ -77,7 +81,13 @@ from .plan import (
 
 #: Bump when the generated-module layout changes; versions the artifact
 #: directory and the in-file header, so stale artifacts are discarded.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
+
+#: The generated entry points, one module (and one artifact) each:
+#: the scalar executor binds ``bind``, the batched one ``bind_batch``.
+SCALAR_ENTRY = "bind"
+BATCH_ENTRY = "bind_batch"
+ENTRIES = (SCALAR_ENTRY, BATCH_ENTRY)
 
 #: Marshal sidecar header magic (the ``.pyc``-style fast-load twin).
 _CODE_MAGIC = "repro-codegen-code"
@@ -683,23 +693,9 @@ def _chunk_stats(plan: Plan) -> List[Tuple[int, int, int, int]]:
     return rows
 
 
-def generate_source(plan: Plan, op_arities: OpArities) -> str:
-    """Emit the specialized executor module for ``plan``.
-
-    ``op_arities`` carries, per module, the operand count of each
-    operation in ``op_names`` order (from the live model -- the one
-    behavioral fact the Plan does not record).  The output is a
-    self-contained Python module: header constants, ``CHUNK_STATS``,
-    the ``_rs`` resolution helper, ``bind`` and ``bind_batch``.
-    """
-    if len(op_arities) != len(plan.modules):
-        raise CodegenError(
-            f"op_arities covers {len(op_arities)} modules, "
-            f"plan has {len(plan.modules)}"
-        )
-    inlines: List = [
-        _inline_plan(mp, op_arities[k]) for k, mp in enumerate(plan.modules)
-    ]
+def _emit_header(plan: Plan) -> _Emitter:
+    """The module header both entry points share: docstring, the
+    identity constants artifact validation reads, and ``CHUNK_STATS``."""
     em = _Emitter()
     em.line(0, '"""Generated by repro.engine.codegen -- DO NOT EDIT.')
     em.line(0, "")
@@ -719,8 +715,37 @@ def generate_source(plan: Plan, op_arities: OpArities) -> str:
     stats = ", ".join(repr(row) for row in _chunk_stats(plan))
     em.line(0, f"CHUNK_STATS = ({stats},)")
     em.line(0)
+    return em
+
+
+def generate_source(plan: Plan, op_arities: OpArities) -> str:
+    """Emit the scalar executor module for ``plan``.
+
+    ``op_arities`` carries, per module, the operand count of each
+    operation in ``op_names`` order (from the live model -- the one
+    behavioral fact the Plan does not record).  The output is a
+    self-contained Python module: header constants, ``CHUNK_STATS``
+    and ``bind``.
+    """
+    if len(op_arities) != len(plan.modules):
+        raise CodegenError(
+            f"op_arities covers {len(op_arities)} modules, "
+            f"plan has {len(plan.modules)}"
+        )
+    inlines: List = [
+        _inline_plan(mp, op_arities[k]) for k, mp in enumerate(plan.modules)
+    ]
+    em = _emit_header(plan)
     _emit_bind_scalar(em, plan, inlines)
-    em.line(0)
+    return "\n".join(em.lines) + "\n"
+
+
+def generate_batch_source(plan: Plan) -> str:
+    """Emit the numpy plane-sweep module for ``plan``: the header of
+    :func:`generate_source`, then ``bind_batch`` (module evaluation
+    reuses the vectorized interpreter closures, so no operation
+    arities are needed)."""
+    em = _emit_header(plan)
     _emit_bind_batch(em, plan)
     return "\n".join(em.lines) + "\n"
 
@@ -742,23 +767,33 @@ def model_op_arities(model: RTModel, plan: Plan) -> OpArities:
 # the artifact cache
 # ----------------------------------------------------------------------
 class CodegenCache:
-    """Content-addressed generated-artifact store.
+    """Content-addressed store of one entry point's generated artifacts.
 
-    Artifacts live at ``<root>/codegen/v<CODEGEN_VERSION>/<digest>.py``
-    next to the plan cache's ``plans/v<PLAN_VERSION>`` directory, with
-    a ``<digest>.pyc`` marshal sidecar holding the compiled code
-    object (keyed to the interpreter version) so warm starts skip
-    recompilation too.  Reads are lenient: a truncated, foreign or
+    Artifacts live at
+    ``<root>/codegen/v<CODEGEN_VERSION>/<digest>.<entry>.py`` next to
+    the plan cache's ``plans/v<PLAN_VERSION>`` directory, with a
+    ``.pyc`` marshal sidecar holding the compiled code object (keyed
+    to the interpreter version) so warm starts skip recompilation too.
+    ``entry`` (one of :data:`ENTRIES`) picks which module this cache
+    reads and writes.  Reads are lenient: a truncated, foreign or
     digest-mismatched artifact is discarded with one RuntimeWarning
     per path per process and the caller regenerates.  Writes are
     atomic and best-effort, like :class:`~repro.engine.plan.PlanCache`.
     """
 
-    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
+    def __init__(
+        self,
+        root: Optional[Union[str, Path]] = None,
+        entry: str = SCALAR_ENTRY,
+    ) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
+        self.entry = entry
 
     def path_for(self, digest: str) -> Path:
-        return self.root / "codegen" / f"v{CODEGEN_VERSION}" / f"{digest}.py"
+        return (
+            self.root / "codegen" / f"v{CODEGEN_VERSION}"
+            / f"{digest}.{self.entry}.py"
+        )
 
     def code_path_for(self, digest: str) -> Path:
         return self.path_for(digest).with_suffix(".pyc")
@@ -850,12 +885,15 @@ class CodegenCache:
                 pass
 
 
-def as_codegen_cache(plan_cache: PlanCacheArg) -> Optional[CodegenCache]:
-    """The codegen cache sharing a ``plan_cache`` argument's root."""
+def as_codegen_cache(
+    plan_cache: PlanCacheArg, entry: str = SCALAR_ENTRY
+) -> Optional[CodegenCache]:
+    """The ``entry`` codegen cache sharing a ``plan_cache`` argument's
+    root."""
     cache = as_plan_cache(plan_cache)
     if cache is None:
         return None
-    return CodegenCache(cache.root)
+    return CodegenCache(cache.root, entry)
 
 
 # ----------------------------------------------------------------------
@@ -876,48 +914,61 @@ class CodegenHandle:
     build_ms: float
 
 
-#: In-process memo: digest -> (namespace, source text).  Saves repeat
-#: generation when the same model is elaborated again without a disk
-#: cache (and fills a configured cache from memory on a miss).
-_MEMO: Dict[str, Tuple[Dict[str, Any], str]] = {}
+#: In-process memo: (digest, entry) -> (namespace, module code object).
+#: Saves repeat generation when the same model is elaborated again
+#: without a disk cache, and fills a configured cache on a miss without
+#: recompiling.  The code object, not the source text, is kept: it is
+#: what the sidecar needs, and the text is cheap to regenerate.
+_MEMO: Dict[Tuple[str, str], Tuple[Dict[str, Any], Any]] = {}
 
 
 def _compile_artifact(text: str, digest: str):
     return compile(text, f"<repro-codegen:{digest[:16]}>", "exec")
 
 
-def _exec_artifact(code, digest: str) -> Dict[str, Any]:
+def _exec_artifact(code, digest: str, entry: str) -> Dict[str, Any]:
     namespace: Dict[str, Any] = {"__name__": f"repro_codegen_{digest[:16]}"}
     exec(code, namespace)
     if (
         namespace.get("CODEGEN_VERSION") != CODEGEN_VERSION
         or namespace.get("PLAN_DIGEST") != digest
-        or not callable(namespace.get("bind"))
-        or not callable(namespace.get("bind_batch"))
+        or not callable(namespace.get(entry))
         or not isinstance(namespace.get("CHUNK_STATS"), tuple)
     ):
         raise CodegenError("artifact failed validation after exec")
     return namespace
 
 
+def _generate(plan: Plan, op_arities: OpArities, entry: str) -> str:
+    # Both generators are looked up at call time, so a wrapper
+    # installed on the module attribute sees every generation.
+    if entry == BATCH_ENTRY:
+        return generate_batch_source(plan)
+    return generate_source(plan, op_arities)
+
+
 def resolve_codegen(
     plan: Plan,
     op_arities: OpArities,
     plan_cache: PlanCacheArg = None,
+    entry: str = SCALAR_ENTRY,
 ) -> CodegenHandle:
-    """Resolve the generated executor module for ``plan``.
+    """Resolve the generated module holding ``plan``'s ``entry`` point.
 
+    Only that entry's module is generated, compiled and cached
+    (``op_arities`` feeds the scalar entry's inlined operations).
     Precedence: artifact-cache hit (validated; corrupt entries are
     discarded with one warning and degrade to a miss), then the
-    in-process memo, then a fresh :func:`generate_source` (which also
-    fills the cache).  Reports the outcome to the process metrics
-    registry, mirroring plan resolution.
+    in-process memo, then a fresh generation (which also fills the
+    cache).  Reports the outcome to the process metrics registry,
+    mirroring plan resolution.
     """
     from ..observe.metrics import record_codegen_request
 
     t0 = time.perf_counter()
-    cache = as_codegen_cache(plan_cache)
+    cache = as_codegen_cache(plan_cache, entry)
     digest = plan.digest
+    key = (digest, entry)
     state = "off"
     namespace: Optional[Dict[str, Any]] = None
     if cache is not None:
@@ -929,22 +980,22 @@ def resolve_codegen(
                 if code is None:
                     code = _compile_artifact(text, digest)
                     cache.put_code(digest, code)
-                namespace = _exec_artifact(code, digest)
+                namespace = _exec_artifact(code, digest, entry)
             except Exception as exc:
                 cache.discard(digest, str(exc))
                 namespace = None
                 state = "miss"
     if namespace is None:
-        memo = _MEMO.get(digest)
+        memo = _MEMO.get(key)
         if memo is not None:
-            namespace, text = memo
+            namespace, code = memo
             if cache is not None:
-                cache.put(digest, text, _compile_artifact(text, digest))
+                cache.put(digest, _generate(plan, op_arities, entry), code)
         else:
-            text = generate_source(plan, op_arities)
+            text = _generate(plan, op_arities, entry)
             try:
                 code = _compile_artifact(text, digest)
-                namespace = _exec_artifact(code, digest)
+                namespace = _exec_artifact(code, digest, entry)
             except CodegenError:
                 raise
             except Exception as exc:  # pragma: no cover - generator bug
@@ -953,9 +1004,9 @@ def resolve_codegen(
                 ) from exc
             if cache is not None:
                 cache.put(digest, text, code)
-        _MEMO[digest] = (namespace, text)
+            _MEMO[key] = (namespace, code)
     else:
-        _MEMO.setdefault(digest, (namespace, text))
+        _MEMO.setdefault(key, (namespace, code))
     build_ms = (time.perf_counter() - t0) * 1000.0
     record_codegen_request(state, build_ms)
     return CodegenHandle(namespace, state, build_ms)
@@ -1191,8 +1242,9 @@ class CodegenRTSimulation(CompiledRTSimulation):
 
 class CodegenBatchedRTSimulation(CompiledBatchedRTSimulation):
     """The ``compiled-py-batched`` backend: the generated numpy plane
-    sweep over the same artifact's ``bind_batch`` thunks.  Result
-    surface and per-lane semantics are those of
+    sweep over the ``bind_batch`` thunks of the model's batch module
+    (generated, compiled and cached apart from the scalar ``bind``
+    module).  Result surface and per-lane semantics are those of
     :class:`CompiledBatchedRTSimulation`, bit-identically."""
 
     backend_name = "compiled-py-batched"
@@ -1233,10 +1285,10 @@ class CodegenBatchedRTSimulation(CompiledBatchedRTSimulation):
         p = self.model_plan
         try:
             handle = resolve_codegen(
-                p, model_op_arities(model, p), plan_cache
+                p, model_op_arities(model, p), plan_cache, entry=BATCH_ENTRY
             )
             mev = tuple(fn for _idx, fn in self._module_evals)
-            chunks = handle.module["bind_batch"](
+            chunks = handle.module[BATCH_ENTRY](
                 self._np,
                 resolve_rt_batch,
                 self._store.values,
@@ -1402,8 +1454,8 @@ def _valid_plan_entry(path: Path) -> bool:
 
 
 def _valid_codegen_entry(path: Path) -> bool:
-    digest = path.stem
-    if not _hex_digest(digest):
+    digest, _, entry = path.stem.partition(".")
+    if not _hex_digest(digest) or entry not in ENTRIES:
         return False
     if path.suffix == ".py":
         try:
@@ -1413,16 +1465,18 @@ def _valid_codegen_entry(path: Path) -> bool:
         return (
             f"CODEGEN_VERSION = {CODEGEN_VERSION}" in text
             and f'PLAN_DIGEST = "{digest}"' in text
+            and f"def {entry}(" in text
         )
     if path.suffix == ".pyc":
         if not path.with_suffix(".py").exists():
             return False
-        return CodegenCache(_cache_root_of(path)).get_code(digest) is not None
+        cache = CodegenCache(_cache_root_of(path), entry)
+        return cache.get_code(digest) is not None
     return False
 
 
 def _cache_root_of(path: Path) -> Path:
-    # <root>/codegen/v<N>/<digest>.pyc -> <root>
+    # <root>/codegen/v<N>/<digest>.<entry>.pyc -> <root>
     return path.parent.parent.parent
 
 
@@ -1430,30 +1484,42 @@ def _hex_digest(stem: str) -> bool:
     return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
 
 
+def _superseded_versions(tier: Path, current: int) -> List[Path]:
+    """The ``v<N>`` directories of a cache tier with ``N < current``
+    (a newer checkout sharing the root keeps its higher versions)."""
+    if not tier.is_dir():
+        return []
+    return sorted(
+        path for path in tier.iterdir()
+        if path.is_dir()
+        and re.fullmatch(r"v[0-9]+", path.name)
+        and int(path.name[1:]) < current
+    )
+
+
 def gc_caches(root: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
-    """Prune stale, foreign and leftover entries from a cache root.
+    """Prune stale, foreign, leftover and superseded cache entries.
 
     Scans ``plans/v<PLAN_VERSION>`` and ``codegen/v<CODEGEN_VERSION>``
     under ``root``, removing anything that fails validation: foreign
     filenames, truncated or unreadable payloads, digest/filename
     mismatches and abandoned atomic-write temporaries.  Valid entries
-    are untouched.  Returns per-kind
-    ``{"scanned", "kept", "removed", "removed_names"}`` stats keyed by
-    ``"plans"`` / ``"codegen"``.
+    are untouched.  Whole directories of lower tier versions
+    (``plans/v1`` ...), which no reader of this version opens, are
+    removed too; each counts as one entry, named ``v<N>/``.  Returns
+    per-kind ``{"scanned", "kept", "removed", "removed_names"}`` stats
+    keyed by ``"plans"`` / ``"codegen"``.
     """
     root = Path(root)
     targets = [
-        ("plans", root / "plans" / f"v{PLAN_VERSION}", _valid_plan_entry),
-        (
-            "codegen",
-            root / "codegen" / f"v{CODEGEN_VERSION}",
-            _valid_codegen_entry,
-        ),
+        ("plans", PLAN_VERSION, _valid_plan_entry),
+        ("codegen", CODEGEN_VERSION, _valid_codegen_entry),
     ]
     report: Dict[str, Dict[str, Any]] = {}
-    for kind, directory, validate in targets:
+    for kind, version, validate in targets:
         scanned = kept = 0
         removed_names: List[str] = []
+        directory = root / kind / f"v{version}"
         if directory.is_dir():
             for path in sorted(directory.iterdir()):
                 if not path.is_file():
@@ -1471,6 +1537,13 @@ def gc_caches(root: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
                     removed_names.append(path.name)
                 except OSError:  # pragma: no cover - racing unlink
                     kept += 1
+        for old in _superseded_versions(root / kind, version):
+            scanned += 1
+            try:
+                shutil.rmtree(old)
+                removed_names.append(f"{old.name}/")
+            except OSError:  # pragma: no cover - unremovable directory
+                kept += 1
         report[kind] = {
             "scanned": scanned,
             "kept": kept,

@@ -97,7 +97,10 @@ def run_sweep(
     sim = state.get(key) if state is not None else None
     if sim is None:
         watch = monitored_watch_list(model) if properties is not None else None
-        sim = model.elaborate(backend=backend, plan=entry.plan, watch=watch)
+        sim = model.elaborate(
+            backend=backend, plan=entry.plan, plan_cache=entry.plan_cache,
+            watch=watch,
+        )
         if state is not None:
             state[key] = sim
     lanes: List[dict] = []

@@ -2,13 +2,15 @@
 
 One :class:`CachedDesign` per submitted model, keyed by the
 content-addressed ``model_digest`` from :mod:`repro.engine.plan` --
-the same digest that keys the on-disk ``plans/v1`` and ``codegen/v1``
+the same digest that keys the on-disk ``plans/`` and ``codegen/``
 tiers, so a *cold* submit is exactly one ``elaborate -> lower ->
-generate`` trip (or a plain disk hit when another process already
-paid it) and every later request for that design is a dictionary
-lookup.  The cache is LRU-bounded; evicting an entry only drops the
-in-process reference -- the on-disk tiers keep the artifacts, so a
-re-submitted design warm-starts.
+generate`` trip (or a plain disk hit on both tiers when another
+process already paid it: each entry carries the model cache's plan
+cache, and the first sweep elaborates with it) and every later
+request for that design is a dictionary lookup.  The cache is
+LRU-bounded; evicting an entry only drops the in-process reference --
+the on-disk tiers keep the artifacts, so a re-submitted design
+warm-starts.
 
 Thread-safety: submits happen on the event-loop thread, sweeps read
 entries from the sweep thread; a lock guards the table, and entries
@@ -39,6 +41,9 @@ class CachedDesign:
     #: how the Plan was resolved at submit time (hit/miss/off)
     plan_source: str
     plan_build_ms: float
+    #: the model cache's on-disk root, handed to the sweep's
+    #: elaboration so its generated kernel uses the codegen tier
+    plan_cache: PlanCacheArg = None
     #: how many simulate/verify requests this design has served
     requests: int = 0
 
@@ -107,6 +112,7 @@ class ModelCache:
                 plan=handle.plan,
                 plan_source=handle.source,
                 plan_build_ms=handle.build_ms,
+                plan_cache=self._plan_cache,
             )
             self._designs[digest] = entry
             self.submits += 1

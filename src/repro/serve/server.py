@@ -3,8 +3,8 @@
 One :class:`ServeServer` owns the three moving parts:
 
 * a :class:`~repro.serve.cache.ModelCache` keyed by ``model_digest``
-  (warm-started from the on-disk ``plans/v1`` tier when a PlanCache is
-  attached),
+  (warm-started from the on-disk ``plans/`` and ``codegen/`` tiers
+  when a PlanCache is attached),
 * a :class:`~repro.serve.batcher.BatchingEngine` coalescing concurrent
   requests per design into single sweeps of one re-armed elaboration,
   run on one sweep thread,

@@ -22,8 +22,10 @@ from repro.core import ModuleSpec, RTModel
 from repro.core.modules_lib import standard_operation
 from repro.core.transfer import RegisterTransfer
 from repro.core.values_np import have_numpy
+import repro.engine.codegen as codegen
 from repro.engine import run_metrics
 from repro.engine.codegen import (
+    BATCH_ENTRY,
     CODEGEN_VERSION,
     CodegenBatchedRTSimulation,
     CodegenCache,
@@ -383,7 +385,7 @@ print(hashlib.sha256(
         self, tmp_path
     ):
         model, cache, artifact = self._seed_artifact(tmp_path)
-        digest = artifact.stem
+        digest = artifact.name.partition(".")[0]
         # Header-complete (passes the text validation) but broken
         # source: the failure surfaces at compile time instead.
         artifact.write_text(
@@ -468,6 +470,95 @@ print(hashlib.sha256(
         assert len(relevant) == 1
 
 
+class TestEntryArtifacts:
+    """One generated module per entry point: an executor generates,
+    compiles, caches and memoizes only the entry it binds."""
+
+    def artifacts(self, root):
+        directory = root / "codegen" / f"v{CODEGEN_VERSION}"
+        return sorted(path.name for path in directory.glob("*.py"))
+
+    def count_compiles(self, monkeypatch):
+        compiled = []
+        real = codegen._compile_artifact
+
+        def counting(text, digest):
+            compiled.append(text)
+            return real(text, digest)
+
+        monkeypatch.setattr(codegen, "_compile_artifact", counting)
+        return compiled
+
+    def test_scalar_elaboration_never_builds_bind_batch(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(codegen, "_MEMO", {})
+        compiled = self.count_compiles(monkeypatch)
+
+        def refuse(plan):
+            raise AssertionError("the scalar path generated bind_batch")
+
+        monkeypatch.setattr(codegen, "generate_batch_source", refuse)
+        sim = build_model().elaborate(
+            backend="compiled-py", plan_cache=tmp_path
+        ).run()
+        assert sim.codegen_mode == "exec"
+        digest = sim.model_plan.digest
+        assert self.artifacts(tmp_path) == [f"{digest}.bind.py"]
+        text = CodegenCache(tmp_path).path_for(digest).read_text()
+        assert "def bind(" in text
+        assert "def bind_batch(" not in text
+        assert len(compiled) == 1
+        assert "def bind_batch(" not in compiled[0]
+
+    @needs_numpy
+    def test_batched_elaboration_writes_its_own_artifact(self, tmp_path):
+        model = conflict_model()
+        scalar = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
+        assert scalar.codegen_cache_state == "miss"
+        digest = scalar.model_plan.digest
+        batched = model.elaborate(
+            backend="compiled-py-batched", register_values=[{}, {}],
+            plan_cache=tmp_path,
+        )
+        assert batched.codegen_cache_state == "miss"
+        assert self.artifacts(tmp_path) == [
+            f"{digest}.bind.py", f"{digest}.bind_batch.py",
+        ]
+        text = CodegenCache(tmp_path, BATCH_ENTRY).path_for(digest).read_text()
+        assert "def bind_batch(" in text
+        assert "def bind(" not in text
+        for backend, kwargs in (
+            ("compiled-py", {}),
+            ("compiled-py-batched", {"register_values": [{}, {}]}),
+        ):
+            again = model.elaborate(
+                backend=backend, plan_cache=tmp_path, **kwargs
+            )
+            assert again.codegen_cache_state == "hit"
+            assert again.codegen_mode == "exec"
+
+    def test_memo_fills_an_empty_disk_tier_without_recompiling(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(codegen, "_MEMO", {})
+        compiled = self.count_compiles(monkeypatch)
+        model = build_model()
+        model.elaborate(backend="compiled-py").run()
+        filled = model.elaborate(
+            backend="compiled-py", plan_cache=tmp_path
+        ).run()
+        assert filled.codegen_cache_state == "miss"
+        assert filled.codegen_mode == "exec"
+        assert len(compiled) == 1
+        again = model.elaborate(
+            backend="compiled-py", plan_cache=tmp_path
+        ).run()
+        assert again.codegen_cache_state == "hit"
+        assert again.registers == filled.registers
+        assert len(compiled) == 1
+
+
 class TestGcCaches:
     def test_gc_prunes_foreign_and_keeps_valid(self, tmp_path):
         model = build_model()
@@ -495,6 +586,51 @@ class TestGcCaches:
         ).run()
         assert again.plan_cache_state == "hit"
         assert again.codegen_cache_state == "hit"
+
+    @needs_numpy
+    def test_gc_keeps_both_entry_artifacts(self, tmp_path):
+        model = build_model()
+        model.elaborate(backend="compiled-py", plan_cache=tmp_path)
+        model.elaborate(
+            backend="compiled-py-batched", register_values=[{}],
+            plan_cache=tmp_path,
+        )
+        codegen_dir = tmp_path / "codegen" / f"v{CODEGEN_VERSION}"
+        fake = "f" * 64
+        (codegen_dir / f"{fake}.bind_batch.py").write_text("garbage")
+        (codegen_dir / f"{fake}.unknown.py").write_text("garbage")
+        report = gc_caches(tmp_path)
+        assert report["codegen"]["kept"] == 4  # two modules + sidecars
+        assert sorted(report["codegen"]["removed_names"]) == [
+            f"{fake}.bind_batch.py", f"{fake}.unknown.py",
+        ]
+        scalar = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
+        batched = model.elaborate(
+            backend="compiled-py-batched", register_values=[{}],
+            plan_cache=tmp_path,
+        )
+        assert scalar.codegen_cache_state == "hit"
+        assert batched.codegen_cache_state == "hit"
+
+    def test_gc_removes_superseded_tier_versions(self, tmp_path):
+        digest = "e" * 64
+        old_codegen = tmp_path / "codegen" / "v1"
+        old_codegen.mkdir(parents=True)
+        (old_codegen / f"{digest}.py").write_text("CODEGEN_VERSION = 1\n")
+        (old_codegen / f"{digest}.pyc").write_bytes(b"old sidecar")
+        old_plans = tmp_path / "plans" / "v1"
+        old_plans.mkdir(parents=True)
+        (old_plans / f"{digest}.plan").write_bytes(b"old plan")
+        # A newer checkout sharing the root keeps its own tier.
+        newer = tmp_path / "codegen" / f"v{CODEGEN_VERSION + 1}"
+        newer.mkdir()
+        (newer / f"{digest}.bind.py").write_text("newer layout")
+        report = gc_caches(tmp_path)
+        assert not old_codegen.exists()
+        assert not old_plans.exists()
+        assert report["codegen"]["removed_names"] == ["v1/"]
+        assert report["plans"]["removed_names"] == ["v1/"]
+        assert (newer / f"{digest}.bind.py").exists()
 
     def test_gc_on_empty_root_reports_zeros(self, tmp_path):
         report = gc_caches(tmp_path / "nothing-here")

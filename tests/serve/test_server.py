@@ -338,6 +338,39 @@ class TestStatelessCache:
                 assert client.models() == []
 
 
+class TestPlanCacheRoot:
+    def test_second_server_loads_the_generated_kernel_from_disk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import codegen
+
+        model = fig1_model()
+        vector = {"R1": 9, "R2": 4}
+        with serve_in_thread(plan_cache=str(tmp_path)) as handle:
+            with ServeClient(*handle.address) as client:
+                first = client.simulate(model, register_values=vector)[-1]
+        assert list((tmp_path / "codegen").rglob("*.bind.py"))
+        # A fresh process would start with an empty memo; generating
+        # again (or falling back to the interpreter) means the
+        # codegen tier was not read.
+        monkeypatch.setattr(codegen, "_MEMO", {})
+        generated = []
+
+        def refuse(plan, op_arities):
+            generated.append(plan.digest)
+            raise AssertionError("generated again despite a warm root")
+
+        monkeypatch.setattr(codegen, "generate_source", refuse)
+        with serve_in_thread(plan_cache=str(tmp_path)) as handle:
+            with ServeClient(*handle.address) as client:
+                second = client.simulate(model, register_values=vector)[-1]
+        assert generated == []
+        assert second["registers"] == first["registers"]
+        assert decode_registers(second["registers"]) == model.elaborate(
+            register_values=vector, backend="compiled"
+        ).run().registers
+
+
 def test_serve_backend_validation():
     # Every sweep is a re-armed compiled-py loop; "auto" is the only
     # name, so every engine backend and every unknown name is refused.

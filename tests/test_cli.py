@@ -981,6 +981,8 @@ class TestCodegenCli:
         assert "CODEGEN_VERSION = " in out
         assert 'PLAN_DIGEST = "' in out
         assert "def bind(" in out
+        # The scalar module compiled-py compiles, not the batch twin.
+        assert "def bind_batch(" not in out
 
     def test_plan_gc_prunes_and_reports(self, fig1_json, tmp_path, capsys):
         cache = tmp_path / "cache"
