@@ -566,7 +566,7 @@ def _print_plan_line(sim) -> None:
 
 
 def _print_codegen_line(sim) -> None:
-    """One-line codegen verdict for the compiled-py backends (CI greps
+    """One-line codegen verdict for the compiled-py backend (CI greps
     for ``codegen: hit`` and ``mode=exec``)."""
     state = getattr(sim, "codegen_cache_state", None)
     if state is None:
@@ -896,12 +896,12 @@ def cmd_simulate(args) -> int:
         if not eq:
             raise ValueError(f"--set expects REG=VALUE, got {item!r}")
         overrides[name] = int(value)
-    if args.backend.endswith("-batched"):
+    if args.backend == "compiled-batched":
         return _simulate_batched(args, model, overrides)
     if args.batch is not None or args.vectors_from:
         raise ValueError(
             "--batch/--vectors-from require a batched backend "
-            "(compiled-batched or compiled-py-batched)"
+            "(compiled-batched)"
         )
     obs = _build_probe(args)
     with _elaborate_span(obs):
@@ -1004,7 +1004,6 @@ def _simulate_batched(args, model, overrides: dict) -> int:
         plan_cache=_plan_cache_arg(args),
     ).run()
     _print_plan_line(sim)
-    _print_codegen_line(sim)
     # Each read of a batch view builds all N lanes: read each once.
     clean_mask = sim.clean_mask
     lane_conflicts = sim.conflicts
@@ -1320,11 +1319,11 @@ def cmd_cover(args) -> int:
         if not eq:
             raise ValueError(f"--set expects REG=VALUE, got {item!r}")
         overrides[name] = int(value)
-    if not args.backend.endswith("-batched"):
+    if args.backend != "compiled-batched":
         if args.batch is not None or args.seed is not None or args.per_lane:
             raise ValueError(
                 "--batch/--seed/--per-lane require a batched backend "
-                "(compiled-batched or compiled-py-batched)"
+                "(compiled-batched)"
             )
         report = measure_coverage(
             model,

@@ -17,7 +17,6 @@ from .backend import (
 from .batched import CompiledBatchedRTSimulation
 from .codegen import (
     CODEGEN_VERSION,
-    CodegenBatchedRTSimulation,
     CodegenCache,
     CodegenRTSimulation,
     gc_caches,
@@ -47,7 +46,6 @@ __all__ = [
     "CompiledRTSimulation",
     "PortView",
     "CODEGEN_VERSION",
-    "CodegenBatchedRTSimulation",
     "CodegenCache",
     "CodegenRTSimulation",
     "gc_caches",

@@ -25,11 +25,9 @@ name -- additionally register themselves in a factory registry:
 * ``"compiled-py"``: a per-model specialized executor generated from
   the Plan IR (:mod:`repro.engine.codegen`) -- straight-line per-(step,
   phase) code with tables constant-folded into the source, cached as
-  ``codegen/v<CODEGEN_VERSION>/<digest>.bind.py`` and compiled once
-  with ``exec``.
-* ``"compiled-py-batched"``: the generated numpy plane sweep, a module
-  of its own (``<digest>.bind_batch.py``) generated from the same Plan
-  (requires the ``repro[fast]`` extra).
+  ``codegen/v<CODEGEN_VERSION>/<digest>.py`` and compiled once with
+  ``exec``.  It has no batched twin: ``compiled-batched`` is the one
+  batched backend.
 """
 
 from __future__ import annotations
@@ -124,8 +122,6 @@ def _ensure_builtins() -> None:
         register_backend("compiled-batched", _compiled_batched_factory)
     if "compiled-py" not in _REGISTRY:
         register_backend("compiled-py", _codegen_factory)
-    if "compiled-py-batched" not in _REGISTRY:
-        register_backend("compiled-py-batched", _codegen_batched_factory)
 
 
 def _event_factory(model: Any, **kwargs: Any) -> Backend:
@@ -150,12 +146,6 @@ def _codegen_factory(model: Any, **kwargs: Any) -> Backend:
     from .codegen import CodegenRTSimulation
 
     return CodegenRTSimulation(model, **kwargs)
-
-
-def _codegen_batched_factory(model: Any, **kwargs: Any) -> Backend:
-    from .codegen import CodegenBatchedRTSimulation
-
-    return CodegenBatchedRTSimulation(model, **kwargs)
 
 
 def run_metrics(

@@ -9,30 +9,29 @@ clockless RT subset has no runtime scheduler at all -- so this module
 compiles it away:
 
 * :func:`generate_source` walks a Plan and emits one specialized
-  Python module per model and entry point: straight-line code per
-  ``(CS, PH)`` cycle with every table lookup, port index, width mask
-  and conflict-resolution order constant-folded into the source (no
-  per-event dict/tuple dispatch remains).  Its module exposes
+  Python module per model: straight-line code per ``(CS, PH)`` cycle
+  with every table lookup, port index, width mask and
+  conflict-resolution order constant-folded into the source (no
+  per-event dict/tuple dispatch remains).  The module exposes
   ``bind(...)``, returning per-control-step *chunk* thunks for the
-  scalar executor; :func:`generate_batch_source` emits the numpy
-  plane-sweep twin, ``bind_batch(...)``, as a module of its own.  Both
-  share one header with ``CHUNK_STATS``, the statically known part of
-  the cycle accounting.  An executor generates, compiles and caches
-  only the entry point it binds.
+  scalar executor, and ``CHUNK_STATS``, the statically known part of
+  the cycle accounting.  There is no generated batch twin: wide sweeps
+  run on the ``compiled-batched`` table plane, which elaborates in a
+  few milliseconds where a generated plane took hundreds and then ran
+  at most about 1.5x faster (``docs/architecture.md``).
 
-* :class:`CodegenCache` stores each generated artifact next to the
-  plan cache as ``codegen/v<CODEGEN_VERSION>/<model_digest>.<entry>.py``
-  (plus a marshal sidecar of the compiled code object, so warm starts
-  skip both generation *and* recompilation).  Reads are lenient,
-  mirroring :class:`~repro.engine.plan.PlanCache`: a truncated,
-  foreign or digest-mismatched artifact is discarded with one
-  RuntimeWarning and regenerated.
+* :class:`CodegenCache` stores each generated module next to the plan
+  cache as ``codegen/v<CODEGEN_VERSION>/<model_digest>.py`` (plus a
+  marshal sidecar of the compiled code object, so warm starts skip
+  both generation *and* recompilation).  Reads are lenient, mirroring
+  :class:`~repro.engine.plan.PlanCache`: a truncated, foreign or
+  digest-mismatched artifact is discarded with one RuntimeWarning and
+  regenerated.
 
-* :class:`CodegenRTSimulation` (backend ``compiled-py``) and
-  :class:`CodegenBatchedRTSimulation` (``compiled-py-batched``)
-  subclass the interpreting executors, replacing only the hot loop:
-  result surface, stats accounting, traces, conflicts and the
-  canonical probe stream are bit-identical (differential-tested in
+* :class:`CodegenRTSimulation` (backend ``compiled-py``) subclasses the
+  interpreting executor, replacing only the hot loop: result surface,
+  stats accounting, traces, conflicts and the canonical probe stream
+  are bit-identical (differential-tested in
   ``tests/engine/test_codegen_backend.py``).  Anything the generated
   code cannot reproduce exactly -- a ``max_deltas`` below the schedule
   length (the per-cycle limit check is semantic there), a
@@ -50,11 +49,11 @@ plus the build wall time) through
 from __future__ import annotations
 
 import marshal
-import os
 import pickle
 import re
 import shutil
 import sys
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ from ..core.model import RTModel
 from ..core.phases import PHASES_PER_STEP
 from ..core.values import DISC
 from ..observe.emit import emit_canonical_cycle
-from .batched import BatchInits, CompiledBatchedRTSimulation
+from .batched import CompiledBatchedRTSimulation
 from .compiled import _EXTRA_EVENTS, _SCHED_TX, CompiledRTSimulation
 from .plan import (
     _MAGIC,
@@ -77,17 +76,12 @@ from .plan import (
     as_plan_cache,
     default_cache_root,
     warn_entry_once,
+    write_atomic,
 )
 
 #: Bump when the generated-module layout changes; versions the artifact
 #: directory and the in-file header, so stale artifacts are discarded.
-CODEGEN_VERSION = 2
-
-#: The generated entry points, one module (and one artifact) each:
-#: the scalar executor binds ``bind``, the batched one ``bind_batch``.
-SCALAR_ENTRY = "bind"
-BATCH_ENTRY = "bind_batch"
-ENTRIES = (SCALAR_ENTRY, BATCH_ENTRY)
+CODEGEN_VERSION = 3
 
 #: Marshal sidecar header magic (the ``.pyc``-style fast-load twin).
 _CODE_MAGIC = "repro-codegen-code"
@@ -520,182 +514,44 @@ def _emit_bind_scalar(em: _Emitter, plan: Plan, inlines: List) -> None:
     em.line(1, "return (" + ", ".join(f"_k{ci}" for ci in range(len(ranges))) + ",)")
 
 
-def _emit_apply_batch(
-    em: _Emitter,
-    ind: int,
-    plan: Plan,
-    prev_pos: int,
-    pos_const: int,
-    conflicts: bool,
-    latch_values: Optional[List[Tuple[str, str]]] = None,
-) -> None:
-    """The numpy plane-sweep twin of :func:`_emit_apply_scalar`.
-
-    Same ordering contract; per-lane change counts feed events, lane
-    masks gate latches, and newly-ILLEGAL lane masks go to the
-    conflict callback (recorded per lane in ascending order).
-    """
-    _step, pph, acts, rels = _cycle_actions(plan, prev_pos)
-    mods = list(enumerate(plan.modules)) if pph == 2 else []
-    latches = list(plan.reg_ports) if pph == 5 else []
-    if not (acts or rels or mods or latches):
-        return
-    for j, (_drv, src, _const) in enumerate(acts):
-        if src is not None:
-            em.line(ind, f"_a{j} = V[:, {src}]")
-    if latches and latch_values is None:
-        latch_values = []
-        for j, (_reg, in_idx, _out) in enumerate(latches):
-            em.line(ind, f"_l{j} = V[:, {in_idx}]")
-            em.line(ind, f"_ln{j} = _l{j} != -1")
-            latch_values.append((f"_l{j}", f"_ln{j}"))
-    for j, (drv, src, const) in enumerate(acts):
-        em.line(
-            ind, f"C[:, {drv}] = " + (f"_a{j}" if src is not None else str(const))
-        )
-    for drv in rels:
-        em.line(ind, f"C[:, {drv}] = -1")
-    for k, mp in mods:
-        em.line(ind, f"_cur = V[:, {mp.out_idx}]")
-        em.line(ind, f"_cnt = int((_m{k} != _cur).sum())")
-        em.line(ind, "if _cnt:")
-        em.line(ind + 1, f"V[:, {mp.out_idx}] = _m{k}")
-        em.line(ind + 1, "ev += _cnt")
-    for j, (_reg, _in_idx, out_idx) in enumerate(latches):
-        lv, ln = latch_values[j]
-        em.line(ind, f"_lc = int({ln}.sum())")
-        em.line(ind, "if _lc:")
-        em.line(ind + 1, "tx += _lc")
-        em.line(ind + 1, f"_cur = V[:, {out_idx}]")
-        em.line(ind + 1, f"_new = _np.where({ln}, {lv}, _cur)")
-        em.line(ind + 1, "_cnt = int((_new != _cur).sum())")
-        em.line(ind + 1, "if _cnt:")
-        em.line(ind + 2, f"V[:, {out_idx}] = _new")
-        em.line(ind + 2, "ev += _cnt")
-    for sink in _dirty_sinks(plan, acts, rels):
-        drivers = plan.sink_drivers[sink]
-        if len(drivers) == 1:
-            em.line(ind, f"_new = C[:, {drivers[0]}]")
-        else:
-            cols = ", ".join(str(d) for d in drivers)
-            em.line(ind, f"_new = _rb(C[:, ({cols})])")
-        em.line(ind, f"_cur = V[:, {sink}]")
-        em.line(ind, "_ch = _new != _cur")
-        em.line(ind, "_cnt = int(_ch.sum())")
-        em.line(ind, "if _cnt:")
-        em.line(ind + 1, f"V[:, {sink}] = _new")
-        em.line(ind + 1, "ev += _cnt")
-        em.line(ind + 1, "_ill = _new == -2")
-        em.line(ind + 1, f"_ac = A[:, {sink}]")
-        if conflicts:
-            em.line(ind + 1, "_nw = _ch & _ill & ~_ac")
-            em.line(
-                ind + 1,
-                f"A[:, {sink}] = (_ac | _nw) & ~(_ch & ~_ill)",
-            )
-            em.line(ind + 1, "if _nw.any():")
-            em.line(ind + 2, f"K({pos_const}, {sink}, _nw)")
-        else:
-            em.line(
-                ind + 1,
-                f"A[:, {sink}] = (_ac | (_ch & _ill & ~_ac)) & ~(_ch & ~_ill)",
-            )
-
-
-def _emit_finish_batch(em: _Emitter, ind: int, plan: Plan) -> None:
-    last = plan.cs_max * PHASES_PER_STEP - 1
-    _step, _ph, acts, rels = _cycle_actions(plan, last)
-    latches = list(plan.reg_ports)
-    has_drv = bool(acts or rels)
-    if not (has_drv or latches):
-        em.line(ind, "return ev, tx, 0")
-        return
-    latch_values = []
-    for j, (_reg, in_idx, _out) in enumerate(latches):
-        em.line(ind, f"_l{j} = V[:, {in_idx}]")
-        em.line(ind, f"_ln{j} = _l{j} != -1")
-        latch_values.append((f"_l{j}", f"_ln{j}"))
-    body = ind
-    if not has_drv:
-        cond = " or ".join(f"bool(_ln{j}.any())" for j in range(len(latches)))
-        em.line(ind, f"if {cond}:")
-        body = ind + 1
-    _emit_apply_batch(
-        em, body, plan, last, last, conflicts=False, latch_values=latch_values
-    )
-    em.line(body, "return ev, tx, 1")
-    if not has_drv:
-        em.line(ind, "return ev, tx, 0")
-
-
-def _emit_bind_batch(em: _Emitter, plan: Plan) -> None:
-    em.line(0, "def bind_batch(np, resolve_batch, values, contrib, act, mev,")
-    em.line(0, "               conflict, hook, n):")
-    em.line(1, '"""Bind the numpy plane-sweep chunk thunks (batched twin).')
-    em.line(1, "")
-    em.line(1, "``values`` is the (N, ports) value plane, ``contrib`` the")
-    em.line(1, "(N, drivers) contribution plane, ``act`` the (N, ports)")
-    em.line(1, "active-illegal mask; module evaluation reuses the")
-    em.line(1, "vectorized ``mev`` closures.  ``conflict(pos, sink, lanes)``")
-    em.line(1, 'receives the newly-ILLEGAL lane mask."""')
-    em.line(1, "V = values")
-    em.line(1, "C = contrib")
-    em.line(1, "A = act")
-    em.line(1, "H = hook")
-    em.line(1, "K = conflict")
-    em.line(1, "HN = hook is not None")
-    em.line(1, "_np = np")
-    em.line(1, "_rb = resolve_batch")
-    for k in range(len(plan.modules)):
-        em.line(1, f"_mev{k} = mev[{k}]")
-    ranges = _chunk_ranges(plan.cs_max)
-    for ci, (lo, hi) in enumerate(ranges):
-        final = ci == len(ranges) - 1
-        em.line(1, f"def _b{ci}():")
-        em.line(2, "ev = 0")
-        em.line(2, "tx = 0")
-        for pos in range(lo, hi):
-            step, ph, _acts, _rels = _cycle_actions(plan, pos)
-            em.line(2, f"# ({step}, {_PH_NAMES[ph]})")
-            if pos > 0:
-                _emit_apply_batch(em, 2, plan, pos - 1, pos, conflicts=True)
-            em.line(2, "if HN:")
-            em.line(3, f"H({pos})")
-            if ph == 2:
-                for k in range(len(plan.modules)):
-                    em.line(2, f"_m{k} = _mev{k}()")
-        if final:
-            _emit_finish_batch(em, 2, plan)
-        else:
-            em.line(2, "return ev, tx, 0")
-    em.line(1, "return (" + ", ".join(f"_b{ci}" for ci in range(len(ranges))) + ",)")
-
-
-def _chunk_stats(plan: Plan) -> List[Tuple[int, int, int, int]]:
-    """Statically known per-chunk stats: (cycles, base events,
-    bookkeeping transactions, per-lane action transactions)."""
+def _chunk_stats(plan: Plan) -> List[Tuple[int, int, int]]:
+    """Statically known per-chunk stats: (cycles, base events, base
+    transactions -- the schedule's bookkeeping plus every action)."""
     total = plan.cs_max * PHASES_PER_STEP
     rows = []
     for lo, hi in _chunk_ranges(plan.cs_max):
         cycles = hi - lo
         ev_base = 0
-        tx_once = 0
-        tx_pern = 0
+        tx_base = 0
         for pos in range(lo, hi):
             _step, ph, acts, rels = _cycle_actions(plan, pos)
             ev_base += 1 + _EXTRA_EVENTS.get(ph, 0)
             if pos < total - 1 or ph != 5:
-                tx_once += _SCHED_TX[ph]
-            tx_pern += len(acts) + len(rels)
+                tx_base += _SCHED_TX[ph]
+            tx_base += len(acts) + len(rels)
             if ph == 2:
-                tx_pern += len(plan.modules)
-        rows.append((cycles, ev_base, tx_once, tx_pern))
+                tx_base += len(plan.modules)
+        rows.append((cycles, ev_base, tx_base))
     return rows
 
 
-def _emit_header(plan: Plan) -> _Emitter:
-    """The module header both entry points share: docstring, the
-    identity constants artifact validation reads, and ``CHUNK_STATS``."""
+def generate_source(plan: Plan, op_arities: OpArities) -> str:
+    """Emit the executor module for ``plan``.
+
+    ``op_arities`` carries, per module, the operand count of each
+    operation in ``op_names`` order (from the live model -- the one
+    behavioral fact the Plan does not record).  The output is a
+    self-contained Python module: the identity constants artifact
+    validation reads, ``CHUNK_STATS`` and ``bind``.
+    """
+    if len(op_arities) != len(plan.modules):
+        raise CodegenError(
+            f"op_arities covers {len(op_arities)} modules, "
+            f"plan has {len(plan.modules)}"
+        )
+    inlines: List = [
+        _inline_plan(mp, op_arities[k]) for k, mp in enumerate(plan.modules)
+    ]
     em = _Emitter()
     em.line(0, '"""Generated by repro.engine.codegen -- DO NOT EDIT.')
     em.line(0, "")
@@ -711,42 +567,11 @@ def _emit_header(plan: Plan) -> _Emitter:
     em.line(0, f"CS_MAX = {plan.cs_max}")
     em.line(0, f"NUM_PORTS = {plan.num_ports}")
     em.line(0, f"NUM_DRIVERS = {plan.num_drivers}")
-    em.line(0, "# per chunk: (cycles, base_events, bookkeeping_tx, per_lane_tx)")
+    em.line(0, "# per chunk: (cycles, base_events, base_transactions)")
     stats = ", ".join(repr(row) for row in _chunk_stats(plan))
     em.line(0, f"CHUNK_STATS = ({stats},)")
     em.line(0)
-    return em
-
-
-def generate_source(plan: Plan, op_arities: OpArities) -> str:
-    """Emit the scalar executor module for ``plan``.
-
-    ``op_arities`` carries, per module, the operand count of each
-    operation in ``op_names`` order (from the live model -- the one
-    behavioral fact the Plan does not record).  The output is a
-    self-contained Python module: header constants, ``CHUNK_STATS``
-    and ``bind``.
-    """
-    if len(op_arities) != len(plan.modules):
-        raise CodegenError(
-            f"op_arities covers {len(op_arities)} modules, "
-            f"plan has {len(plan.modules)}"
-        )
-    inlines: List = [
-        _inline_plan(mp, op_arities[k]) for k, mp in enumerate(plan.modules)
-    ]
-    em = _emit_header(plan)
     _emit_bind_scalar(em, plan, inlines)
-    return "\n".join(em.lines) + "\n"
-
-
-def generate_batch_source(plan: Plan) -> str:
-    """Emit the numpy plane-sweep module for ``plan``: the header of
-    :func:`generate_source`, then ``bind_batch`` (module evaluation
-    reuses the vectorized interpreter closures, so no operation
-    arities are needed)."""
-    em = _emit_header(plan)
-    _emit_bind_batch(em, plan)
     return "\n".join(em.lines) + "\n"
 
 
@@ -767,33 +592,23 @@ def model_op_arities(model: RTModel, plan: Plan) -> OpArities:
 # the artifact cache
 # ----------------------------------------------------------------------
 class CodegenCache:
-    """Content-addressed store of one entry point's generated artifacts.
+    """Content-addressed store of generated executor modules.
 
-    Artifacts live at
-    ``<root>/codegen/v<CODEGEN_VERSION>/<digest>.<entry>.py`` next to
-    the plan cache's ``plans/v<PLAN_VERSION>`` directory, with a
+    Artifacts live at ``<root>/codegen/v<CODEGEN_VERSION>/<digest>.py``
+    next to the plan cache's ``plans/v<PLAN_VERSION>`` directory, with a
     ``.pyc`` marshal sidecar holding the compiled code object (keyed
     to the interpreter version) so warm starts skip recompilation too.
-    ``entry`` (one of :data:`ENTRIES`) picks which module this cache
-    reads and writes.  Reads are lenient: a truncated, foreign or
-    digest-mismatched artifact is discarded with one RuntimeWarning
-    per path per process and the caller regenerates.  Writes are
-    atomic and best-effort, like :class:`~repro.engine.plan.PlanCache`.
+    Reads are lenient: a truncated, foreign or digest-mismatched
+    artifact is discarded with one RuntimeWarning per path per process
+    and the caller regenerates.  Writes are atomic and best-effort
+    (:func:`~repro.engine.plan.write_atomic`).
     """
 
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        entry: str = SCALAR_ENTRY,
-    ) -> None:
+    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
-        self.entry = entry
 
     def path_for(self, digest: str) -> Path:
-        return (
-            self.root / "codegen" / f"v{CODEGEN_VERSION}"
-            / f"{digest}.{self.entry}.py"
-        )
+        return self.root / "codegen" / f"v{CODEGEN_VERSION}" / f"{digest}.py"
 
     def code_path_for(self, digest: str) -> Path:
         return self.path_for(digest).with_suffix(".pyc")
@@ -835,41 +650,21 @@ class CodegenCache:
             return None
 
     def put(self, digest: str, text: str, code=None) -> bool:
-        path = self.path_for(digest)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            # Advisory cache: an unwritable root must not fail the run.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        if not write_atomic(self.path_for(digest), text.encode("utf-8")):
             return False
         if code is not None:
             self.put_code(digest, code)
         return True
 
     def put_code(self, digest: str, code) -> bool:
-        path = self.code_path_for(digest)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         try:
             payload = marshal.dumps(
                 (_CODE_MAGIC, CODEGEN_VERSION, list(sys.version_info[:2]),
                  digest, code)
             )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
-            os.replace(tmp, path)
-        except (OSError, ValueError):
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        except ValueError:
             return False
-        return True
+        return write_atomic(self.code_path_for(digest), payload)
 
     def discard(self, digest: str, reason: str) -> None:
         path = self.path_for(digest)
@@ -885,15 +680,12 @@ class CodegenCache:
                 pass
 
 
-def as_codegen_cache(
-    plan_cache: PlanCacheArg, entry: str = SCALAR_ENTRY
-) -> Optional[CodegenCache]:
-    """The ``entry`` codegen cache sharing a ``plan_cache`` argument's
-    root."""
+def as_codegen_cache(plan_cache: PlanCacheArg) -> Optional[CodegenCache]:
+    """The codegen cache sharing a ``plan_cache`` argument's root."""
     cache = as_plan_cache(plan_cache)
     if cache is None:
         return None
-    return CodegenCache(cache.root, entry)
+    return CodegenCache(cache.root)
 
 
 # ----------------------------------------------------------------------
@@ -914,99 +706,91 @@ class CodegenHandle:
     build_ms: float
 
 
-#: In-process memo: (digest, entry) -> (namespace, module code object).
-#: Saves repeat generation when the same model is elaborated again
-#: without a disk cache, and fills a configured cache on a miss without
-#: recompiling.  The code object, not the source text, is kept: it is
-#: what the sidecar needs, and the text is cheap to regenerate.
-_MEMO: Dict[Tuple[str, str], Tuple[Dict[str, Any], Any]] = {}
+#: In-process memo: digest -> (namespace, module code object), for
+#: modules no disk tier holds -- generated with no cache configured,
+#: or whose cache write failed.  A configured tier is read first, so
+#: an entry kept for a cached module would never be read again.  The
+#: code object, not the source text, is kept: it is what the sidecar
+#: needs when a later resolve fills a disk tier, and the text is cheap
+#: to regenerate.
+_MEMO: Dict[str, Tuple[Dict[str, Any], Any]] = {}
+
+#: Held across the disk read, memo lookup, generation and compile, so
+#: threads resolving one new digest compile it once per process.
+_LOCK = threading.Lock()
 
 
 def _compile_artifact(text: str, digest: str):
     return compile(text, f"<repro-codegen:{digest[:16]}>", "exec")
 
 
-def _exec_artifact(code, digest: str, entry: str) -> Dict[str, Any]:
+def _exec_artifact(code, digest: str) -> Dict[str, Any]:
     namespace: Dict[str, Any] = {"__name__": f"repro_codegen_{digest[:16]}"}
     exec(code, namespace)
     if (
         namespace.get("CODEGEN_VERSION") != CODEGEN_VERSION
         or namespace.get("PLAN_DIGEST") != digest
-        or not callable(namespace.get(entry))
+        or not callable(namespace.get("bind"))
         or not isinstance(namespace.get("CHUNK_STATS"), tuple)
     ):
         raise CodegenError("artifact failed validation after exec")
     return namespace
 
 
-def _generate(plan: Plan, op_arities: OpArities, entry: str) -> str:
-    # Both generators are looked up at call time, so a wrapper
-    # installed on the module attribute sees every generation.
-    if entry == BATCH_ENTRY:
-        return generate_batch_source(plan)
-    return generate_source(plan, op_arities)
-
-
 def resolve_codegen(
-    plan: Plan,
-    op_arities: OpArities,
-    plan_cache: PlanCacheArg = None,
-    entry: str = SCALAR_ENTRY,
+    plan: Plan, op_arities: OpArities, plan_cache: PlanCacheArg = None
 ) -> CodegenHandle:
-    """Resolve the generated module holding ``plan``'s ``entry`` point.
+    """Resolve ``plan``'s generated executor module.
 
-    Only that entry's module is generated, compiled and cached
-    (``op_arities`` feeds the scalar entry's inlined operations).
     Precedence: artifact-cache hit (validated; corrupt entries are
     discarded with one warning and degrade to a miss), then the
     in-process memo, then a fresh generation (which also fills the
-    cache).  Reports the outcome to the process metrics registry,
-    mirroring plan resolution.
+    cache).  ``generate_source`` is looked up at call time, so a
+    wrapper installed on the module attribute sees every generation.
+    Reports the outcome to the process metrics registry, mirroring
+    plan resolution.
     """
     from ..observe.metrics import record_codegen_request
 
     t0 = time.perf_counter()
-    cache = as_codegen_cache(plan_cache, entry)
+    cache = as_codegen_cache(plan_cache)
     digest = plan.digest
-    key = (digest, entry)
     state = "off"
     namespace: Optional[Dict[str, Any]] = None
-    if cache is not None:
-        text = cache.get(digest)
-        state = "miss" if text is None else "hit"
-        if text is not None:
-            try:
-                code = cache.get_code(digest)
-                if code is None:
+    with _LOCK:
+        if cache is not None:
+            text = cache.get(digest)
+            state = "miss" if text is None else "hit"
+            if text is not None:
+                try:
+                    code = cache.get_code(digest)
+                    if code is None:
+                        code = _compile_artifact(text, digest)
+                        cache.put_code(digest, code)
+                    namespace = _exec_artifact(code, digest)
+                except Exception as exc:
+                    cache.discard(digest, str(exc))
+                    namespace = None
+                    state = "miss"
+        if namespace is None:
+            memo = _MEMO.get(digest)
+            if memo is not None:
+                namespace, code = memo
+                if cache is not None:
+                    cache.put(digest, generate_source(plan, op_arities), code)
+            else:
+                text = generate_source(plan, op_arities)
+                try:
                     code = _compile_artifact(text, digest)
-                    cache.put_code(digest, code)
-                namespace = _exec_artifact(code, digest, entry)
-            except Exception as exc:
-                cache.discard(digest, str(exc))
-                namespace = None
-                state = "miss"
-    if namespace is None:
-        memo = _MEMO.get(key)
-        if memo is not None:
-            namespace, code = memo
-            if cache is not None:
-                cache.put(digest, _generate(plan, op_arities, entry), code)
-        else:
-            text = _generate(plan, op_arities, entry)
-            try:
-                code = _compile_artifact(text, digest)
-                namespace = _exec_artifact(code, digest, entry)
-            except CodegenError:
-                raise
-            except Exception as exc:  # pragma: no cover - generator bug
-                raise CodegenError(
-                    f"generated module failed to compile: {exc}"
-                ) from exc
-            if cache is not None:
-                cache.put(digest, text, code)
-            _MEMO[key] = (namespace, code)
-    else:
-        _MEMO.setdefault(key, (namespace, code))
+                    namespace = _exec_artifact(code, digest)
+                except CodegenError:
+                    raise
+                except Exception as exc:  # pragma: no cover - generator bug
+                    raise CodegenError(
+                        f"generated module failed to compile: {exc}"
+                    ) from exc
+                if cache is None or not cache.put(digest, text, code):
+                    _MEMO[digest] = (namespace, code)
     build_ms = (time.perf_counter() - t0) * 1000.0
     record_codegen_request(state, build_ms)
     return CodegenHandle(namespace, state, build_ms)
@@ -1174,11 +958,11 @@ class CodegenRTSimulation(CompiledRTSimulation):
         cyc = res = evt = txt = 0
         while i < until:
             ev, tx, extra = chunks[i]()
-            cycles, ev_base, tx_once, tx_pern = chunk_stats[i]
+            cycles, ev_base, tx_base = chunk_stats[i]
             cyc += cycles + extra
             res += cycles
             evt += ev_base + ev
-            txt += tx_once + tx_pern + tx
+            txt += tx_base + tx
             i += 1
         stats = self.stats
         stats.cycles += cyc
@@ -1240,197 +1024,11 @@ class CodegenRTSimulation(CompiledRTSimulation):
         return self
 
 
-class CodegenBatchedRTSimulation(CompiledBatchedRTSimulation):
-    """The ``compiled-py-batched`` backend: the generated numpy plane
-    sweep over the ``bind_batch`` thunks of the model's batch module
-    (generated, compiled and cached apart from the scalar ``bind``
-    module).  Result surface and per-lane semantics are those of
-    :class:`CompiledBatchedRTSimulation`, bit-identically."""
-
-    backend_name = "compiled-py-batched"
-
-    def __init__(
-        self,
-        model: RTModel,
-        register_values: BatchInits = None,
-        trace: bool = False,
-        watch: Optional[Iterable[str]] = None,
-        max_deltas: int = 1_000_000,
-        transfer_engine: bool = True,
-        observe=None,
-        plan: Union[None, Plan, PlanHandle] = None,
-        plan_cache: PlanCacheArg = None,
-    ) -> None:
-        super().__init__(
-            model,
-            register_values=register_values,
-            trace=trace,
-            watch=watch,
-            max_deltas=max_deltas,
-            transfer_engine=transfer_engine,
-            observe=observe,
-            plan=plan,
-            plan_cache=plan_cache,
-        )
-        self.codegen_cache_state: str = "off"
-        self.codegen_build_ms: float = 0.0
-        self.codegen_mode: str = "interpreter"
-        self._chunks = None
-        self._chunk_stats = None
-        self._chunk_pos = 0
-        if max_deltas < len(self._schedule):
-            return
-        from ..core.values_np import resolve_rt_batch
-
-        p = self.model_plan
-        try:
-            handle = resolve_codegen(
-                p, model_op_arities(model, p), plan_cache, entry=BATCH_ENTRY
-            )
-            mev = tuple(fn for _idx, fn in self._module_evals)
-            chunks = handle.module[BATCH_ENTRY](
-                self._np,
-                resolve_rt_batch,
-                self._store.values,
-                self._contrib,
-                self._active_illegal,
-                mev,
-                self._codegen_conflict,
-                self._codegen_hook(),
-                self.batch_size,
-            )
-        except Exception as exc:
-            warnings.warn(
-                f"codegen backend: falling back to the interpreter "
-                f"({exc!r})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return
-        self.codegen_cache_state = handle.source
-        self.codegen_build_ms = handle.build_ms
-        self._chunk_stats = handle.module["CHUNK_STATS"]
-        self._chunks = chunks
-        self.codegen_mode = "exec"
-
-    # -- runner callbacks the generated code invokes -------------------
-    def _codegen_conflict(self, pos: int, sink: int, newly) -> None:
-        np = self._np
-        at = self._schedule[pos]
-        contrib = self._contrib
-        drvs = self._sink_drivers[sink]
-        name = self._names[sink]
-        for i in np.nonzero(newly)[0]:
-            sources = tuple(
-                (self._drv_owner[d], int(contrib[i, d]))
-                for d in drvs
-                if contrib[i, d] != DISC
-            )
-            self._monitors[int(i)].record(ConflictEvent(name, at, sources))
-
-    def _codegen_hook(self):
-        items = self._trace_items
-        tracers = self._tracers
-        probe = self._probe
-        emit_n1 = probe is not None and self.batch_size == 1
-        if not tracers and not emit_n1:
-            return None
-        schedule = self._schedule
-        values = self._store.values
-        names = self._names
-        bus_count = self._bus_count
-        reg_out = list(self._reg_out_idx.items())
-        prev = values[0].copy() if emit_n1 else None
-
-        def hook(pos: int) -> None:
-            at = schedule[pos]
-            if items is not None:
-                for i, tracer in enumerate(tracers):
-                    row = values[i]
-                    tracer.append(
-                        at, {name: int(row[idx]) for name, idx in items}
-                    )
-            if emit_n1:
-                row = values[0]
-                changed = [
-                    idx for idx in range(len(names)) if row[idx] != prev[idx]
-                ]
-                for idx in changed:
-                    prev[idx] = row[idx]
-                cs = set(changed)
-                drives = [
-                    (names[idx], int(row[idx]))
-                    for idx in range(bus_count)
-                    if idx in cs
-                ]
-                latches = [
-                    (reg, int(row[idx]))
-                    for reg, idx in reg_out
-                    if idx in cs
-                ]
-                emit_canonical_cycle(probe, at, drives, latches)
-
-        return hook
-
-    # -- execution ------------------------------------------------------
-    def _run_chunks(self, until: int) -> None:
-        chunks = self._chunks
-        chunk_stats = self._chunk_stats
-        n = self.batch_size
-        i = self._chunk_pos
-        cyc = res = evt = txt = 0
-        while i < until:
-            ev, tx, extra = chunks[i]()
-            cycles, ev_base, tx_once, tx_pern = chunk_stats[i]
-            cyc += cycles + extra
-            res += cycles
-            evt += ev_base + ev
-            txt += tx_once + tx_pern * n + tx
-            i += 1
-        stats = self.stats
-        stats.cycles += cyc
-        stats.delta_cycles += cyc
-        stats.process_resumes += res
-        stats.events += evt
-        stats.transactions += txt
-        self._chunk_pos = i
-        if i >= len(chunks):
-            self._pos = len(self._schedule)
-            self._finished = True
-        elif i:
-            self._pos = (i - 1) * PHASES_PER_STEP + 1
-
-    def run(self) -> "CodegenBatchedRTSimulation":
-        if self._chunks is None:
-            super().run()
-            return self
-        from ..observe.metrics import record_backend_run
-
-        if self._probe is None:
-            self._run_chunks(len(self._chunks))
-            self._ran = True
-            record_backend_run(self)
-            return self
-        import time as _time
-
-        self._probe.on_run_start(self)
-        t0 = _time.perf_counter()
-        self._run_chunks(len(self._chunks))
-        self._ran = True
-        self._probe.on_run_end(self, _time.perf_counter() - t0)
-        record_backend_run(self)
-        return self
-
-    def run_steps(self, steps: int) -> "CodegenBatchedRTSimulation":
-        if self._chunks is None:
-            super().run_steps(steps)
-            return self
-        if steps > self.model.cs_max:
-            return self.run()
-        if steps >= 1:
-            self._run_chunks(steps)
-        self._ran = True
-        return self
+#: No generated batch executor exists; ``compiled-batched`` is the one
+#: batched backend.  The name stays because the perfbench harness
+#: (``perfbench/layers.py:243``) patches ``CodegenBatchedRTSimulation.run``
+#: in its traced run and fails with AttributeError without it.
+CodegenBatchedRTSimulation = CompiledBatchedRTSimulation
 
 
 # ----------------------------------------------------------------------
@@ -1454,8 +1052,8 @@ def _valid_plan_entry(path: Path) -> bool:
 
 
 def _valid_codegen_entry(path: Path) -> bool:
-    digest, _, entry = path.stem.partition(".")
-    if not _hex_digest(digest) or entry not in ENTRIES:
+    digest = path.stem
+    if not _hex_digest(digest):
         return False
     if path.suffix == ".py":
         try:
@@ -1465,18 +1063,18 @@ def _valid_codegen_entry(path: Path) -> bool:
         return (
             f"CODEGEN_VERSION = {CODEGEN_VERSION}" in text
             and f'PLAN_DIGEST = "{digest}"' in text
-            and f"def {entry}(" in text
+            and "def bind(" in text
         )
     if path.suffix == ".pyc":
         if not path.with_suffix(".py").exists():
             return False
-        cache = CodegenCache(_cache_root_of(path), entry)
+        cache = CodegenCache(_cache_root_of(path))
         return cache.get_code(digest) is not None
     return False
 
 
 def _cache_root_of(path: Path) -> Path:
-    # <root>/codegen/v<N>/<digest>.<entry>.pyc -> <root>
+    # <root>/codegen/v<N>/<digest>.pyc -> <root>
     return path.parent.parent.parent
 
 

@@ -46,6 +46,7 @@ import hashlib
 import marshal
 import os
 import pickle
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -477,6 +478,33 @@ def warn_entry_once(path: Union[str, Path], message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
+def write_atomic(path: Path, data: bytes) -> bool:
+    """Write one cache entry: a temp file beside ``path``, then a rename.
+
+    Shared by every on-disk tier (plans, generated code and its
+    sidecar, coverage).  Readers see the old entry or the new one,
+    never a partial write.  The temp file is
+    ``.<name>.tmp-<pid>-<thread id>``, so two threads writing one entry
+    never share it, and ``gc_caches`` removes any left behind in the
+    plan and codegen tiers.  The tiers are advisory: an unwritable root
+    returns False instead of failing the run.
+    """
+    tmp = path.with_name(
+        f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+    )
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        return False
+    return True
+
+
 class PlanCache:
     """Content-addressed on-disk Plan store.
 
@@ -528,25 +556,13 @@ class PlanCache:
         return plan
 
     def put(self, plan: Plan) -> bool:
-        path = self.path_for(plan.digest)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(
-                pickle.dumps(
-                    (_MAGIC, PLAN_VERSION, plan),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            )
-            os.replace(tmp, path)
-        except OSError:
-            # Advisory cache: an unwritable root must not fail the run.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        return True
+        return write_atomic(
+            self.path_for(plan.digest),
+            pickle.dumps(
+                (_MAGIC, PLAN_VERSION, plan),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ batched N == 1), :func:`coverage_from_trace` (batched lane replay) and
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -779,26 +778,16 @@ class CoverageDB:
         return report
 
     def put(self, report: CoverageReport) -> bool:
-        path = self.path_for(report.digest)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(
-                json.dumps({
-                    "magic": _DB_MAGIC,
-                    "version": COVERAGE_VERSION,
-                    "report": report.to_dict(),
-                }, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        return True
+        from ..engine.plan import write_atomic
+
+        text = json.dumps({
+            "magic": _DB_MAGIC,
+            "version": COVERAGE_VERSION,
+            "report": report.to_dict(),
+        }, sort_keys=True) + "\n"
+        return write_atomic(
+            self.path_for(report.digest), text.encode("utf-8")
+        )
 
     def update(self, report: CoverageReport) -> CoverageReport:
         """Merge ``report`` into the stored entry; returns the merge."""

@@ -14,8 +14,9 @@ warm-starts.
 
 Thread-safety: submits happen on the event-loop thread, sweeps read
 entries from the sweep thread; a lock guards the table, and entries
-themselves are immutable after construction (the lazily built
-executor memo inside the codegen layer has its own lock).
+themselves are immutable after construction.  The generated executor
+module is resolved lazily by the codegen layer under its own lock, so
+a digest compiles once per process however many threads ask for it.
 """
 
 from __future__ import annotations

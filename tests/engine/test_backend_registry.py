@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cli import main
 from repro.clocked import elaborate_clocked, translate
 from repro.core import ModuleSpec, RTModel
+from repro.core.serialize import dump
 from repro.core.simulator import RTSimulation
 from repro.engine import (
     Backend,
@@ -41,6 +43,28 @@ class TestRegistry:
     def test_unknown_backend_through_elaborate(self):
         with pytest.raises(BackendError, match="available"):
             fig1_model().elaborate(backend="quantum")
+
+    def test_builtin_backends_are_exactly_four(self):
+        # One table plane for wide sweeps, generated code for re-armed
+        # scalar lanes; no generated batch plane.
+        assert backend_names() == [
+            "compiled", "compiled-batched", "compiled-py", "event",
+        ]
+
+    def test_generated_batch_plane_is_not_a_backend(self):
+        with pytest.raises(BackendError) as excinfo:
+            fig1_model().elaborate(backend="compiled-py-batched")
+        assert str(excinfo.value).endswith(
+            "available: compiled, compiled-batched, compiled-py, event"
+        )
+
+    def test_cli_refuses_the_generated_batch_plane(self, tmp_path, capsys):
+        path = tmp_path / "fig1.json"
+        dump(fig1_model(), path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(path), "--backend", "compiled-py-batched"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_create_backend_types(self):
         model = fig1_model()

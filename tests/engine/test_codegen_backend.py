@@ -12,6 +12,7 @@ regenerated.
 import hashlib
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -21,13 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from repro.core import ModuleSpec, RTModel
 from repro.core.modules_lib import standard_operation
 from repro.core.transfer import RegisterTransfer
-from repro.core.values_np import have_numpy
 import repro.engine.codegen as codegen
 from repro.engine import run_metrics
 from repro.engine.codegen import (
-    BATCH_ENTRY,
     CODEGEN_VERSION,
-    CodegenBatchedRTSimulation,
     CodegenCache,
     CodegenRTSimulation,
     gc_caches,
@@ -35,7 +33,6 @@ from repro.engine.codegen import (
     model_op_arities,
     resolve_codegen,
 )
-from repro.engine.batched import CompiledBatchedRTSimulation
 from repro.engine.compiled import CompiledRTSimulation
 from repro.engine.plan import PLAN_VERSION, PlanCache, resolve_plan
 from repro.kernel.errors import DeltaCycleLimitError
@@ -43,11 +40,6 @@ from repro.kernel.errors import DeltaCycleLimitError
 from .test_differential import colliding_models, observe
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(),
-    reason="the batched value plane needs the repro[fast] extra",
-)
 
 # One canonical model recipe, shared verbatim with the subprocess
 # warm-artifact test: same source text, same model, same digest.
@@ -224,43 +216,6 @@ class TestScalarDifferential:
         ref = observe(CompiledRTSimulation(model, trace=True).run())
         gen = observe(CodegenRTSimulation(model, trace=True).run())
         assert gen == ref
-
-
-@needs_numpy
-class TestBatchedDifferential:
-    def vectors(self, model, n):
-        regs = sorted(model.registers)
-        return [
-            {regs[i % len(regs)]: 3 * i + 1} if i else {}
-            for i in range(n)
-        ]
-
-    @pytest.mark.parametrize("n", [1, 5, 7])
-    def test_lanes_bit_identical(self, n):
-        model = conflict_model()
-        vecs = self.vectors(model, n)
-        ref = CompiledBatchedRTSimulation(
-            model, register_values=vecs, trace=True
-        ).run()
-        gen = CodegenBatchedRTSimulation(
-            model, register_values=vecs, trace=True
-        ).run()
-        assert gen.codegen_mode == "exec"
-        assert gen.registers == ref.registers
-        assert vars(gen.stats) == vars(ref.stats)
-        assert gen.conflicts == ref.conflicts
-        assert list(gen.clean_mask) == list(ref.clean_mask)
-        for lane in range(n):
-            assert gen.tracers[lane].samples == ref.tracers[lane].samples
-
-    def test_probe_order_matches_scalar_at_n1(self):
-        model = build_model()
-        probe_scalar, probe_batched = RecordingProbe(), RecordingProbe()
-        CompiledRTSimulation(model, observe=probe_scalar).run()
-        CodegenBatchedRTSimulation(
-            model, register_values=[{}], observe=probe_batched
-        ).run()
-        assert probe_batched.log == probe_scalar.log
 
 
 class TestMaxDeltasFallback:
@@ -471,12 +426,12 @@ print(hashlib.sha256(
 
 
 class TestEntryArtifacts:
-    """One generated module per entry point: an executor generates,
-    compiles, caches and memoizes only the entry it binds."""
+    """One generated module per digest, compiled once per process and
+    kept in the memo only while no disk tier holds it."""
 
     def artifacts(self, root):
         directory = root / "codegen" / f"v{CODEGEN_VERSION}"
-        return sorted(path.name for path in directory.glob("*.py"))
+        return sorted(path.name for path in directory.iterdir())
 
     def count_compiles(self, monkeypatch):
         compiled = []
@@ -494,49 +449,17 @@ class TestEntryArtifacts:
     ):
         monkeypatch.setattr(codegen, "_MEMO", {})
         compiled = self.count_compiles(monkeypatch)
-
-        def refuse(plan):
-            raise AssertionError("the scalar path generated bind_batch")
-
-        monkeypatch.setattr(codegen, "generate_batch_source", refuse)
         sim = build_model().elaborate(
             backend="compiled-py", plan_cache=tmp_path
         ).run()
         assert sim.codegen_mode == "exec"
         digest = sim.model_plan.digest
-        assert self.artifacts(tmp_path) == [f"{digest}.bind.py"]
+        assert self.artifacts(tmp_path) == [f"{digest}.py", f"{digest}.pyc"]
         text = CodegenCache(tmp_path).path_for(digest).read_text()
         assert "def bind(" in text
         assert "def bind_batch(" not in text
         assert len(compiled) == 1
         assert "def bind_batch(" not in compiled[0]
-
-    @needs_numpy
-    def test_batched_elaboration_writes_its_own_artifact(self, tmp_path):
-        model = conflict_model()
-        scalar = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
-        assert scalar.codegen_cache_state == "miss"
-        digest = scalar.model_plan.digest
-        batched = model.elaborate(
-            backend="compiled-py-batched", register_values=[{}, {}],
-            plan_cache=tmp_path,
-        )
-        assert batched.codegen_cache_state == "miss"
-        assert self.artifacts(tmp_path) == [
-            f"{digest}.bind.py", f"{digest}.bind_batch.py",
-        ]
-        text = CodegenCache(tmp_path, BATCH_ENTRY).path_for(digest).read_text()
-        assert "def bind_batch(" in text
-        assert "def bind(" not in text
-        for backend, kwargs in (
-            ("compiled-py", {}),
-            ("compiled-py-batched", {"register_values": [{}, {}]}),
-        ):
-            again = model.elaborate(
-                backend=backend, plan_cache=tmp_path, **kwargs
-            )
-            assert again.codegen_cache_state == "hit"
-            assert again.codegen_mode == "exec"
 
     def test_memo_fills_an_empty_disk_tier_without_recompiling(
         self, tmp_path, monkeypatch
@@ -557,6 +480,60 @@ class TestEntryArtifacts:
         assert again.codegen_cache_state == "hit"
         assert again.registers == filled.registers
         assert len(compiled) == 1
+
+    def test_disk_tier_keeps_the_memo_empty(self, tmp_path, monkeypatch):
+        # A configured tier is read before the memo, so a module it
+        # holds is never kept in memory as well.
+        monkeypatch.setattr(codegen, "_MEMO", {})
+        model = build_model()
+        miss = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
+        assert miss.codegen_cache_state == "miss"
+        hit = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
+        assert hit.codegen_cache_state == "hit"
+        assert codegen._MEMO == {}
+        uncached = model.elaborate(backend="compiled-py")
+        assert uncached.codegen_cache_state == "off"
+        assert list(codegen._MEMO) == [uncached.model_plan.digest]
+
+    def test_racing_threads_compile_one_digest_once(self, monkeypatch):
+        from repro.iks.flow import build_ik_model
+
+        # E6: generation and compile take long enough that racing
+        # threads overlap in them unless resolution is serialized.
+        model = build_ik_model(0.3, 0.7)[0]
+        plan = resolve_plan(model).plan
+        arities = model_op_arities(model, plan)
+        monkeypatch.setattr(codegen, "_MEMO", {})
+        compiled = self.count_compiles(monkeypatch)
+        workers = 2
+        barrier = threading.Barrier(workers)
+        handles = [None] * workers
+        errors = []
+
+        def resolve(slot):
+            try:
+                barrier.wait(timeout=30)
+                handles[slot] = resolve_codegen(plan, arities)
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [
+                threading.Thread(target=resolve, args=(slot,))
+                for slot in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(compiled) == 1
+        assert all(h.module is handles[0].module for h in handles)
 
 
 class TestGcCaches:
@@ -586,31 +563,6 @@ class TestGcCaches:
         ).run()
         assert again.plan_cache_state == "hit"
         assert again.codegen_cache_state == "hit"
-
-    @needs_numpy
-    def test_gc_keeps_both_entry_artifacts(self, tmp_path):
-        model = build_model()
-        model.elaborate(backend="compiled-py", plan_cache=tmp_path)
-        model.elaborate(
-            backend="compiled-py-batched", register_values=[{}],
-            plan_cache=tmp_path,
-        )
-        codegen_dir = tmp_path / "codegen" / f"v{CODEGEN_VERSION}"
-        fake = "f" * 64
-        (codegen_dir / f"{fake}.bind_batch.py").write_text("garbage")
-        (codegen_dir / f"{fake}.unknown.py").write_text("garbage")
-        report = gc_caches(tmp_path)
-        assert report["codegen"]["kept"] == 4  # two modules + sidecars
-        assert sorted(report["codegen"]["removed_names"]) == [
-            f"{fake}.bind_batch.py", f"{fake}.unknown.py",
-        ]
-        scalar = model.elaborate(backend="compiled-py", plan_cache=tmp_path)
-        batched = model.elaborate(
-            backend="compiled-py-batched", register_values=[{}],
-            plan_cache=tmp_path,
-        )
-        assert scalar.codegen_cache_state == "hit"
-        assert batched.codegen_cache_state == "hit"
 
     def test_gc_removes_superseded_tier_versions(self, tmp_path):
         digest = "e" * 64

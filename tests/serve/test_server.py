@@ -349,7 +349,7 @@ class TestPlanCacheRoot:
         with serve_in_thread(plan_cache=str(tmp_path)) as handle:
             with ServeClient(*handle.address) as client:
                 first = client.simulate(model, register_values=vector)[-1]
-        assert list((tmp_path / "codegen").rglob("*.bind.py"))
+        assert list((tmp_path / "codegen").rglob("*.py"))
         # A fresh process would start with an empty memo; generating
         # again (or falling back to the interpreter) means the
         # codegen tier was not read.

@@ -937,42 +937,6 @@ class TestCodegenCli:
         assert "-- plan_cache: hit" in out
         assert "-- codegen: hit mode=" in out
 
-    @needs_numpy
-    def test_simulate_compiled_py_batched_sweep(self, fig1_json, capsys):
-        assert main([
-            "simulate", str(fig1_json), "--backend", "compiled-py-batched",
-            "--batch", "3", "--seed", "7",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "3 vectors, 3 clean" in out
-
-    @needs_numpy
-    def test_batched_backends_print_identical_sweeps(
-        self, fig1_json, capsys
-    ):
-        assert main([
-            "simulate", str(fig1_json), "--backend", "compiled-batched",
-            "--batch", "4", "--seed", "11",
-        ]) == 0
-        reference = capsys.readouterr().out
-        assert main([
-            "simulate", str(fig1_json), "--backend", "compiled-py-batched",
-            "--batch", "4", "--seed", "11",
-        ]) == 0
-        generated = capsys.readouterr().out
-        stripped = [
-            line for line in generated.splitlines()
-            if not line.startswith("-- codegen:")
-        ]
-        assert stripped == reference.splitlines()
-
-    def test_run_rejects_codegen_batched_backend(self, fig1_vhd, capsys):
-        assert main([
-            "run", str(fig1_vhd), "--top", "example",
-            "--backend", "compiled-py-batched",
-        ]) == 1
-        assert "batch-shaped results" in capsys.readouterr().err
-
     def test_plan_emit_code_prints_artifact_source(
         self, fig1_json, capsys
     ):
@@ -981,7 +945,6 @@ class TestCodegenCli:
         assert "CODEGEN_VERSION = " in out
         assert 'PLAN_DIGEST = "' in out
         assert "def bind(" in out
-        # The scalar module compiled-py compiles, not the batch twin.
         assert "def bind_batch(" not in out
 
     def test_plan_gc_prunes_and_reports(self, fig1_json, tmp_path, capsys):
