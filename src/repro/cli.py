@@ -12,7 +12,7 @@ Subcommands::
     repro iks      --target 2.5,1.0    run the IKS case study
     repro plan     model.json          lower a model, inspect its Plan IR
     repro report   run.jsonl           render a recorded run report
-    repro watch    HOST:PORT           tail a live --stream NDJSON feed
+    repro watch    HOST:PORT           tail a repro serve's live conflicts
     repro bench    [--model m.json]    batched-vs-sequential sweep benchmark
 
 The simulating subcommands (``run``, ``simulate``, ``iks``) share the
@@ -20,10 +20,10 @@ observability flags of :mod:`repro.observe`: ``--observe out.jsonl``
 records the structured event stream, ``--vcd out.vcd`` writes a
 GTKWave-ready waveform, ``--profile`` / ``--profile-out`` print or
 save the per-phase wall-clock profile (``--profile-sample N`` samples
-every N-th control step), ``--monitor`` / ``--assert-file`` evaluate
-temporal assertions online (``--assert-out`` saves the
-AssertionReport), and ``--stream HOST:PORT`` serves the event stream
-as NDJSON for ``repro watch``.
+every N-th control step), and ``--monitor`` / ``--assert-file``
+evaluate temporal assertions online (``--assert-out`` saves the
+AssertionReport).  ``repro watch HOST:PORT`` follows the conflicts and
+violations a running ``repro serve`` finds, live.
 
 Model files use the JSON format of :mod:`repro.core.serialize`;
 algorithmic sources use the straight-line language of
@@ -278,15 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        help="connect to a --stream endpoint and tail the live NDJSON feed",
+        help="subscribe to a repro serve endpoint and tail its live "
+        "conflict and violation records",
     )
     p.add_argument(
         "endpoint", metavar="HOST:PORT",
-        help="the --stream endpoint (a bare PORT means 127.0.0.1)",
+        help="the repro serve endpoint (a bare PORT means 127.0.0.1)",
     )
     p.add_argument(
         "--raw", action="store_true",
-        help="print the NDJSON records verbatim instead of rendering them",
+        help="print the JSON records verbatim instead of rendering them",
     )
     p.add_argument(
         "--max-events", type=int, default=None, metavar="N",
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECS",
-        help="socket timeout while waiting for events",
+        help="stop after SECS without a record",
     )
     p.set_defaults(handler=cmd_watch)
 
@@ -480,16 +481,6 @@ def _add_observe_args(p: argparse.ArgumentParser) -> None:
         help="write the AssertionReport as JSON",
     )
     p.add_argument(
-        "--stream", metavar="HOST:PORT",
-        help="serve the live event stream as NDJSON on this endpoint "
-        "(connect with `repro watch`); port 0 picks a free port",
-    )
-    p.add_argument(
-        "--stream-wait", type=float, default=None, metavar="SECS",
-        help="with --stream: wait up to SECS for a watcher to connect "
-        "before the run starts",
-    )
-    p.add_argument(
         "--cover", action="store_true",
         help="measure structural coverage (transfers, (CS,PH) cells, "
         "port value classes, conflict pairs) and print the report",
@@ -523,7 +514,19 @@ def _add_observe_args(p: argparse.ArgumentParser) -> None:
 
 
 def _validate_backend_flags(args, allow_batched: bool = False) -> None:
-    """Reject flag combinations that would silently do nothing."""
+    """Reject flag combinations that would silently do nothing.
+
+    Every simulating command calls this before it picks a path, so the
+    observe-flag checks hold on each path (the VHDL interpreter and the
+    batched sweep included)."""
+    if getattr(args, "profile_sample", None) is not None and not (
+        getattr(args, "profile", False) or getattr(args, "profile_out", None)
+    ):
+        raise ValueError("--profile-sample needs --profile or --profile-out")
+    if getattr(args, "assert_out", None) and not (
+        getattr(args, "monitor", False) or getattr(args, "assert_file", None)
+    ):
+        raise ValueError("--assert-out needs --monitor or --assert-file")
     if args.no_transfer_engine and args.backend != "event":
         raise ValueError(
             "--no-transfer-engine only applies to the event backend "
@@ -584,12 +587,10 @@ class _ObserveSession:
     the zero-cost path); the rest is kept for post-run reporting.
     """
 
-    def __init__(self, probe, profiler, monitor, server,
-                 coverage=None, tracer=None):
+    def __init__(self, probe, profiler, monitor, coverage=None, tracer=None):
         self.probe = probe
         self.profiler = profiler
         self.monitor = monitor
-        self.server = server
         self.coverage = coverage
         self.tracer = tracer
 
@@ -600,54 +601,27 @@ def _build_probe(args) -> _ObserveSession:
         AssertionMonitor,
         JsonlRecorder,
         Profiler,
-        StreamServer,
         combine_probes,
         default_properties,
         load_properties,
-        parse_endpoint,
     )
 
     probes = []
-    profiler = monitor = server = coverage = tracer = None
+    profiler = monitor = coverage = tracer = None
     profiling = getattr(args, "profile", False) or getattr(
         args, "profile_out", None
     )
     sample = getattr(args, "profile_sample", None)
-    if sample is not None and not profiling:
-        raise ValueError(
-            "--profile-sample needs --profile or --profile-out"
-        )
-    if getattr(args, "stream_wait", None) is not None \
-            and not getattr(args, "stream", None):
-        raise ValueError("--stream-wait needs --stream")
-    monitoring = getattr(args, "monitor", False) or getattr(
-        args, "assert_file", None
-    )
-    if getattr(args, "assert_out", None) and not monitoring:
-        raise ValueError("--assert-out needs --monitor or --assert-file")
-    if getattr(args, "observe", None):
-        probes.append(JsonlRecorder(args.observe))
-    if getattr(args, "stream", None):
-        host, port = parse_endpoint(args.stream)
-        server = StreamServer(
-            host=host, port=port,
-            wait_for_client=getattr(args, "stream_wait", None) or 0.0,
-        )
-        probes.append(server)
-        print(f"-- streaming on {server.address[0]}:{server.address[1]}")
-    if monitoring:
+    if getattr(args, "monitor", False) or getattr(args, "assert_file", None):
         properties = []
         if args.monitor:
             properties.extend(default_properties())
         if getattr(args, "assert_file", None):
             properties.extend(load_properties(args.assert_file))
-        monitor = AssertionMonitor(
-            properties,
-            listener=server.emit_violation if server else None,
-        )
-        # First in the fan-out: violations reach the stream server the
-        # moment they are detected, ahead of the raw event records.
-        probes.insert(0, monitor)
+        monitor = AssertionMonitor(properties)
+        probes.append(monitor)
+    if getattr(args, "observe", None):
+        probes.append(JsonlRecorder(args.observe))
     if _covering(args):
         from .observe import CoverageProbe
 
@@ -662,7 +636,7 @@ def _build_probe(args) -> _ObserveSession:
         tracer = SpanTracer()
         probes.append(tracer)
     return _ObserveSession(
-        combine_probes(probes), profiler, monitor, server,
+        combine_probes(probes), profiler, monitor,
         coverage=coverage, tracer=tracer,
     )
 
@@ -694,12 +668,6 @@ def _emit_observe_outputs(args, obs: _ObserveSession, sim=None) -> bool:
     into their exit status).  ``sim`` lets the span tracer synthesize
     the backend-side plan-resolution span."""
     ok = True
-    if obs.server is not None:
-        obs.server.close()
-        print(
-            f"-- streamed {obs.server.events} events "
-            f"({obs.server.dropped} dropped)"
-        )
     if getattr(args, "observe", None):
         print(f"-- wrote {args.observe}")
     if obs.monitor is not None and obs.monitor.report is not None:
@@ -802,7 +770,7 @@ def cmd_run(args) -> int:
         text = handle.read()
     observed = bool(
         args.vcd or args.observe or args.profile or args.profile_out
-        or args.monitor or args.assert_file or args.stream
+        or args.monitor or args.assert_file
         or _covering(args) or args.metrics_out or args.trace_out
     )
     if args.backend != "event" or args.no_transfer_engine or observed:
@@ -948,16 +916,14 @@ def _simulate_batched(args, model, overrides: dict) -> int:
     import random
 
     if args.vcd or args.trace or args.observe or args.profile \
-            or args.profile_out or args.stream or args.trace_out:
+            or args.profile_out or args.trace_out:
         raise ValueError(
-            "--vcd/--trace/--observe/--profile/--stream/--trace-out "
+            "--vcd/--trace/--observe/--profile/--trace-out "
             "produce single-run output; not supported with the "
             "compiled-batched backend"
         )
     monitoring = bool(args.monitor or args.assert_file)
     covering = _covering(args)
-    if args.assert_out and not monitoring:
-        raise ValueError("--assert-out needs --monitor or --assert-file")
     if args.vectors_from:
         if args.batch is not None or args.seed is not None:
             raise ValueError(
@@ -1415,19 +1381,37 @@ def cmd_report(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    from .observe import parse_endpoint, watch_stream
+    """`repro watch`: tail the live records of a running `repro serve`.
+
+    Subscribes to the service's WebSocket ``watch`` op and prints one
+    line per conflict or violation record (the JSON record with
+    ``--raw``) until ``--max-events``, ``--timeout`` seconds without a
+    record, or the server closing."""
+    import asyncio
+
+    from .observe import format_event
+    from .serve.client import WsClient, parse_endpoint
+    from .serve.protocol import dump_record
 
     host, port = parse_endpoint(args.endpoint)
     if args.max_events is not None and args.max_events < 1:
         raise ValueError(f"--max-events must be >= 1, got {args.max_events}")
-    count = watch_stream(
-        host, port,
-        out=sys.stdout,
-        raw=args.raw,
-        max_events=args.max_events,
-        timeout=args.timeout,
-    )
-    print(f"-- stream closed after {count} events", file=sys.stderr)
+    count = 0
+    with WsClient(host, port, timeout=args.timeout) as client:
+        client.send({"op": "watch"})
+        while args.max_events is None or count < args.max_events:
+            try:
+                record = client.recv(timeout=args.timeout)
+            except asyncio.TimeoutError:
+                break
+            if record is None:
+                break
+            if record.get("event") == "watching":
+                continue
+            print(dump_record(record) if args.raw else format_event(record),
+                  flush=True)
+            count += 1
+    print(f"-- watch closed after {count} events", file=sys.stderr)
     return 0
 
 

@@ -153,7 +153,6 @@ def run_metrics(
     wall: Optional[float] = None,
     baseline: Optional[SimStats] = None,
     profile: Optional[Any] = None,
-    stream: Optional[Any] = None,
     monitor: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """One comparable metrics row for any backend.
@@ -164,11 +163,6 @@ def run_metrics(
     interval, for backends whose simulator is reused.
     ``profile`` merges a :class:`repro.observe.Profiler`'s per-phase
     wall totals into the row as ``wall_<phase>`` columns.
-    ``stream`` merges a :class:`repro.observe.StreamServer`'s delivery
-    counters as ``stream_events`` / ``stream_dropped`` /
-    ``stream_clients`` (drops are the bounded queue's backpressure
-    evidence; clients counts watcher connections accepted over the
-    server's lifetime).
     ``monitor`` merges an :class:`repro.observe.AssertionMonitor`'s (or
     :class:`~repro.observe.monitor.AssertionReport`'s) verdict as a
     ``violations`` column.
@@ -222,10 +216,6 @@ def run_metrics(
     if profile is not None:
         for phase, seconds in profile.phase_wall.items():
             row[f"wall_{phase}"] = seconds
-    if stream is not None:
-        row["stream_events"] = stream.events
-        row["stream_dropped"] = stream.dropped
-        row["stream_clients"] = getattr(stream, "clients_total", 0)
     if monitor is not None:
         report = getattr(monitor, "report", monitor)
         violations = getattr(report, "violations", None)

@@ -14,14 +14,13 @@ compiled executor, clocked translation, handshake network):
 * :class:`JsonlRecorder` / :class:`RunReport` -- structured JSONL event
   logs with a stable schema, aggregated into conflict timelines,
   per-resource occupancy and per-phase wall time (``repro report``);
+  :func:`format_event` renders one record of that schema as a line
+  (``repro watch`` over the live feed of ``repro serve``);
 * :class:`AssertionMonitor` + the property catalogue (:func:`never`,
   :func:`always_at`, :func:`implies_within`, :func:`stable_between`,
   ...) -- temporal assertions evaluated online over the stream, with
   per-lane verdicts on the batched backend (``--monitor`` /
   ``--assert-file``);
-* :class:`StreamServer` / :func:`watch_stream` -- live NDJSON event
-  streaming over a socket with bounded-queue backpressure
-  (``--stream`` / ``repro watch``);
 * :func:`export_vcd` / :func:`parse_vcd` -- waveforms for GTKWave, with
   DISC as ``z`` and ILLEGAL as ``x``;
 * :class:`Profiler` -- per-phase wall-clock profiling with a
@@ -34,8 +33,8 @@ compiled executor, clocked translation, handshake network):
   (``repro cover`` / ``--cover``);
 * :data:`~repro.observe.metrics.REGISTRY` -- the process-wide typed
   metrics registry (counters/gauges/histograms) fed by the plan cache,
-  every backend and the stream server, exported as Prometheus text or
-  JSON (``repro metrics`` / ``--metrics-out``);
+  every backend and the simulation service, exported as Prometheus
+  text or JSON (``repro metrics`` / ``--metrics-out``);
 * :class:`SpanTracer` -- hierarchical wall-clock spans (elaborate,
   plan, run, per-step, per-phase) on the Profiler's clock, exported
   as Chrome trace-event JSON (``--trace-out``).
@@ -90,9 +89,9 @@ from .recorder import (
     RunReport,
     decode_value,
     encode_value,
+    format_event,
     read_events,
 )
-from .stream import StreamServer, format_event, parse_endpoint, watch_stream
 from .trace import RequestContext, SpanTracer, new_trace_id
 from .vcd import VCDError, VCDWave, export_vcd, parse_vcd, step_phase_tick
 
@@ -128,6 +127,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "decode_value",
     "encode_value",
+    "format_event",
     "read_events",
     "AssertionMonitor",
     "AssertionReport",
@@ -147,10 +147,6 @@ __all__ = [
     "parse_properties",
     "stable_between",
     "when",
-    "StreamServer",
-    "format_event",
-    "parse_endpoint",
-    "watch_stream",
     "VCDError",
     "VCDWave",
     "export_vcd",

@@ -4,10 +4,11 @@ One request = one JSON line carrying everything needed to explain it
 after the fact: trace id, operation, design digest, queue wait, sweep
 wall, batch occupancy, HTTP status and wire error code.  The writer is
 **bounded and never blocking**: the request path offers events to a
-:class:`~repro.observe.stream.RecordQueue` and a dedicated writer
-thread drains them to disk, so a slow filesystem back-pressures into
-counted drops instead of stalled responses -- the same loss-accounting
-discipline the stream server and WebSocket watch fan-out use.
+:class:`RecordQueue` and a dedicated writer thread drains them to
+disk, so a slow filesystem back-pressures into counted drops instead
+of stalled responses -- the same loss-accounting discipline the
+WebSocket watch fan-out of :mod:`repro.serve` uses, one queue per
+watcher.
 
 The same event dictionaries feed the flight recorder
 (:mod:`repro.serve.flight`), so a post-mortem dump and the access log
@@ -17,17 +18,71 @@ speak one schema (documented in ``docs/serving.md``).
 from __future__ import annotations
 
 import json
+import queue
 import sys
 import threading
 import time
 from typing import IO, Any, Dict, List, Mapping, Optional
 
-from .stream import RecordQueue
-
-__all__ = ["AccessLogWriter", "parse_access_log", "wide_event"]
+__all__ = ["AccessLogWriter", "RecordQueue", "parse_access_log", "wide_event"]
 
 #: Sentinel shutting down the writer thread.
 _CLOSE = object()
+
+
+class RecordQueue:
+    """A bounded, never-blocking handoff queue with loss accounting.
+
+    The producer calls :meth:`offer`; when the consumer has fallen
+    behind and the queue is full the record is dropped and counted
+    instead of stalling the producer.  One instance per consumer makes
+    losses attributable: :class:`AccessLogWriter` keeps one for its
+    writer thread, :mod:`repro.serve` one per WebSocket watch
+    subscription.
+
+    Thread-safe.  Consumers either block in :meth:`get` (a dedicated
+    writer thread) or batch-drain with :meth:`drain` (asyncio tasks
+    scheduled right after the producer's :meth:`offer`).
+    """
+
+    def __init__(self, maxsize: int = 1024) -> None:
+        self._q: "queue.Queue[Any]" = queue.Queue(maxsize=maxsize)
+        #: records accepted into the queue
+        self.accepted = 0
+        #: records dropped because this consumer's queue was full
+        self.dropped = 0
+
+    def offer(self, item: Any) -> bool:
+        """Enqueue without blocking; count (and report) a full queue."""
+        try:
+            self._q.put_nowait(item)
+        except queue.Full:
+            self.dropped += 1
+            return False
+        self.accepted += 1
+        return True
+
+    def get(self) -> Any:
+        """Blocking take (writer-thread consumers)."""
+        return self._q.get()
+
+    def pending(self) -> bool:
+        """True while items are queued (consumer-side peek)."""
+        return not self._q.empty()
+
+    def put(self, item: Any) -> None:
+        """Blocking enqueue that never drops (a shutdown sentinel that
+        must stay behind the records already queued)."""
+        self._q.put(item)
+
+    def drain(self) -> List[Any]:
+        """Take everything currently queued without blocking."""
+        items: List[Any] = []
+        while True:
+            try:
+                items.append(self._q.get_nowait())
+            except queue.Empty:
+                return items
 
 
 def wide_event(**fields: Any) -> Dict[str, Any]:
@@ -109,8 +164,8 @@ class AccessLogWriter:
         if self._closed:
             return
         self._closed = True
-        # Not RecordQueue.close(): that sentinel-injection discards
-        # queued records when full, but a shutdown flush must keep them.
+        # A blocking put: the sentinel waits behind the queued records,
+        # so the shutdown flush keeps every one of them.
         self._queue.put(_CLOSE)
         self._thread.join(timeout=timeout)
 

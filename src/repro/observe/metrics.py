@@ -4,9 +4,9 @@ One :class:`MetricsRegistry` instance -- the module-level
 :data:`REGISTRY` -- collects operational counters from every layer
 that wants to report them: the plan cache (hits, misses, build
 milliseconds), the simulation backends (runs, control steps,
-dispatches, batch lanes) and the
-:class:`~repro.observe.stream.StreamServer` (clients served, events
-emitted, events dropped).  The registry is the machine-facing twin of
+dispatches, batch lanes) and the simulation service
+(:mod:`repro.serve`: requests, sweeps, rejections, per-stage
+latencies).  The registry is the machine-facing twin of
 :func:`repro.engine.run_metrics`: ``run_metrics`` renders *one run* as
 a human-readable row, the registry accumulates *the process* so a
 campaign sweeping hundreds of runs has one scrape surface.
@@ -23,13 +23,13 @@ Exposition formats:
   scrape.
 
 Instrumentation discipline: every hook in the engine fires **once per
-run** (or once per cache resolution / server shutdown), never inside
-the per-cycle loop -- the disabled-observer hot path stays
-structurally free and the enabled cost is one dictionary update per
-run (asserted by the E6 overhead benchmark).
+run** (or once per cache resolution, served request or sweep), never
+inside the per-cycle loop -- the disabled-observer hot path stays
+structurally free (checked by the E6 overhead benchmark) and the
+enabled cost is one dictionary update per run.
 
-All mutation is guarded by one registry lock; the stream server's
-sender thread and the main thread may report concurrently.
+All mutation is guarded by one registry lock; the service's event-loop
+thread, its sweep thread and the main thread may report concurrently.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "record_serve_rejection",
     "record_serve_request",
     "record_serve_stage",
-    "record_stream_close",
     "serve_models",
     "serve_queue_depth",
 ]
@@ -793,18 +792,3 @@ def serve_models() -> Any:
         "Designs resident in the in-process compiled-model cache.",
     ))
 
-
-def record_stream_close(server: Any) -> None:
-    """Report a StreamServer's delivery counters at shutdown."""
-    REGISTRY.counter(
-        "repro_stream_clients_total",
-        "Watcher connections accepted by stream servers.",
-    ).inc(getattr(server, "clients_total", 0))
-    REGISTRY.counter(
-        "repro_stream_events_total",
-        "Events fanned out to stream watchers.",
-    ).inc(getattr(server, "events", 0))
-    REGISTRY.counter(
-        "repro_stream_dropped_total",
-        "Events dropped by the bounded stream queue (backpressure).",
-    ).inc(getattr(server, "dropped", 0))

@@ -518,34 +518,20 @@ class AssertionMonitor(Probe):
 
     A cycle's changes trail its phase callback, so evaluation of cycle
     *k* happens when the next boundary (phase *k+1*, a conflict, or run
-    end) proves *k* complete.  ``listener`` (if set) receives each
-    :class:`Violation` the moment it is detected -- the stream server
-    uses this to push violations to live watchers."""
+    end) proves *k* complete."""
 
-    def __init__(
-        self,
-        properties: Sequence[Property],
-        listener: Optional[Callable[[Violation], None]] = None,
-    ) -> None:
+    def __init__(self, properties: Sequence[Property]) -> None:
         self.properties = list(properties)
-        self.listener = listener
         self.report: Optional[AssertionReport] = None
         self._eval: Optional[_Evaluation] = None
         self._open_at: Optional[StepPhase] = None
         self._changed: Dict[str, int] = {}
 
     # -- stream plumbing ------------------------------------------------
-    def _notify_from(self, start: int) -> None:
-        if self.listener is not None and self._eval is not None:
-            for violation in self._eval.violations[start:]:
-                self.listener(violation)
-
     def _flush(self) -> None:
         if self._eval is None or self._open_at is None:
             return
-        mark = len(self._eval.violations)
         self._eval.cycle(self._open_at, self._changed)
-        self._notify_from(mark)
         self._open_at = None
         self._changed = {}
 
@@ -578,17 +564,13 @@ class AssertionMonitor(Probe):
         if self._eval is None:
             return
         self._flush()
-        mark = len(self._eval.violations)
         self._eval.conflict(event)
-        self._notify_from(mark)
 
     def on_run_end(self, backend: Any, wall: float) -> None:
         if self._eval is None:
             return
         self._flush()
-        mark = len(self._eval.violations)
         self.report = self._eval.finish()
-        self._notify_from(mark)
         self._eval = None
 
 

@@ -14,7 +14,8 @@ Design rules:
 * **Zero-cost when absent.**  Backends take ``observe=None`` and guard
   every hook with ``if probe is not None``; no watcher process, no
   callback, no timestamp is installed on the disabled path (the E6
-  benchmark asserts < 5% overhead).
+  benchmark asserts kernel counters identical to a run that never
+  named the keyword).
 * **Deterministic order.**  Within one simulation cycle the emission
   order is fixed -- conflicts recorded by the monitor, then the step
   boundary (RA only), the phase boundary, bus drives in bus declaration

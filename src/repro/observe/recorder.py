@@ -70,9 +70,10 @@ def _model_name(backend: Any) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# event-dict builders -- the one place the wire schema is spelled out.
-# JsonlRecorder writes these to files; the NDJSON stream server
-# (repro.observe.stream) pushes the identical dicts over a socket.
+# event-dict builders -- the one place the record schema is spelled out.
+# JsonlRecorder writes these to files; `repro serve` sends its conflict
+# records in the same schema to WebSocket watchers, and format_event
+# renders them for `repro watch`.
 # ----------------------------------------------------------------------
 def run_start_event(backend: Any) -> dict:
     model = getattr(backend, "model", None)
@@ -157,6 +158,25 @@ def run_end_event(backend: Any, wall: float) -> dict:
         record["plan_cache"] = plan_state
         record["plan_build_ms"] = getattr(backend, "plan_build_ms", 0.0)
     return record
+
+
+def format_event(event: dict) -> str:
+    """One human-readable line per live record (``repro watch``).
+
+    The live feed carries conflicts and assertion violations; any other
+    record prints as its kind followed by the compact JSON."""
+    kind = event.get("event", "?")
+    cs, ph = event.get("cs"), event.get("ph")
+    where = f"cs{cs}.{ph}" if cs is not None and ph is not None else "--"
+    if kind == "conflict":
+        drivers = ", ".join(f"{o}={v}" for o, v in event.get("drivers", []))
+        return f"CONFLICT   {where} {event.get('signal')} (drivers: {drivers})"
+    if kind == "violation":
+        return (
+            f"VIOLATION  {where} [{event.get('property')}] "
+            f"{event.get('signal') or ''} {event.get('message')}".rstrip()
+        )
+    return f"{kind}  {json.dumps(event, separators=(',', ':'))}"
 
 
 class JsonlRecorder(Probe):

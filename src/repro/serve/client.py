@@ -2,10 +2,12 @@
 
 :class:`ServeClient` is the synchronous HTTP client (stdlib
 ``http.client``, keep-alive): submit a model once, then issue
-simulate/verify calls against its digest.  :func:`run_load` is the
-asyncio load driver behind ``tools/serve_load_smoke.py`` -- N
-concurrent clients, each with its own persistent connection, hammering
-one design and collecting per-request latencies.
+simulate/verify calls against its digest.  :class:`WsClient` is the
+synchronous WebSocket client of ``/v1/ws``; ``repro watch`` tails the
+``watch`` fan-out with it.  :func:`run_load` is the asyncio load
+driver behind ``tools/serve_load_smoke.py`` -- N concurrent clients,
+each with its own persistent connection, hammering one design and
+collecting per-request latencies.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.model import RTModel
 from ..core.serialize import model_to_dict
 from ..observe.trace import new_trace_id
+from . import wsproto
 from .protocol import (
     ERROR_STATUS,
     ServeError,
@@ -213,6 +217,123 @@ class ServeClient:
                 {"code": "internal", "message": f"HTTP {status}"}, status
             )
         return data.decode("utf-8")
+
+
+def parse_endpoint(text: str) -> Tuple[str, int]:
+    """Parse a ``HOST:PORT`` endpoint (host defaults to localhost)."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep:
+        host, port_text = "127.0.0.1", text
+    host = host or "127.0.0.1"
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"bad endpoint {text!r} (expected HOST:PORT)") from None
+    if not (0 < port < 65536):
+        raise ValueError(f"bad port {port} in endpoint {text!r}")
+    return host, port
+
+
+#: The record kinds that end one op's reply on the WebSocket.
+_TERMINAL_EVENTS = frozenset(
+    ("result", "error", "model", "pong", "health", "watching")
+)
+
+
+class WsClient:
+    """Synchronous client of the ``/v1/ws`` WebSocket (own event loop).
+
+    :meth:`send` writes one op frame, :meth:`recv` reads one record and
+    :meth:`call` does both up to the op's terminal record.  A refused,
+    timed-out or non-WebSocket connection raises :class:`OSError`."""
+
+    def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0) -> None:
+        self._loop = asyncio.new_event_loop()
+        try:
+            self.reader, self.writer = self._loop.run_until_complete(
+                asyncio.wait_for(self._connect(host, port), timeout)
+            )
+        except asyncio.TimeoutError:
+            self._loop.close()
+            raise TimeoutError(f"no WebSocket upgrade from {host}:{port}") from None
+        except BaseException:
+            self._loop.close()
+            raise
+
+    @staticmethod
+    async def _connect(host: str, port: int):
+        reader, writer = await asyncio.open_connection(host, port)
+        sock = writer.get_extra_info("socket")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        writer.write((
+            "GET /v1/ws HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n"
+        ).encode("latin-1"))
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        status = head.split(b"\r\n", 1)[0]
+        if status.split(b" ")[1:2] != [b"101"]:
+            writer.close()
+            raise ConnectionError(
+                f"WebSocket upgrade refused: {status.decode('latin-1')}"
+            )
+        return reader, writer
+
+    def send(self, payload: Mapping[str, Any]) -> None:
+        self.writer.write(wsproto.encode_text(dump_record(payload), mask=True))
+        self._loop.run_until_complete(self.writer.drain())
+
+    def recv(self, timeout: Optional[float] = 30.0) -> Optional[dict]:
+        """The next record, decoded; None once the server has closed.
+
+        Raises :class:`asyncio.TimeoutError` after ``timeout`` seconds
+        without a frame."""
+        try:
+            opcode, data = self._loop.run_until_complete(
+                asyncio.wait_for(wsproto.read_frame(self.reader), timeout)
+            )
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        if opcode == wsproto.OP_CLOSE:
+            return None
+        return json.loads(data)
+
+    def call(self, payload: Mapping[str, Any]) -> List[dict]:
+        """Send one op and collect records up to its terminal one."""
+        self.send(payload)
+        records = []
+        while True:
+            record = self.recv()
+            if record is None:
+                raise ConnectionError("server closed the WebSocket")
+            records.append(record)
+            if record.get("event") in _TERMINAL_EVENTS:
+                return records
+
+    def close(self) -> None:
+        """Send a close frame (best effort) and release the socket."""
+        try:
+            self.writer.write(wsproto.encode_close(mask=True))
+            self._loop.run_until_complete(self.writer.drain())
+        except OSError:  # the server may have hung up first
+            pass
+        self.writer.close()
+        try:
+            self._loop.run_until_complete(self.writer.wait_closed())
+        except OSError:
+            pass
+        self._loop.close()
+
+    def __enter__(self) -> "WsClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ----------------------------------------------------------------------

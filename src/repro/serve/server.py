@@ -10,7 +10,7 @@ One :class:`ServeServer` owns the three moving parts:
   run on one sweep thread,
 * a hand-rolled HTTP/1.1 transport (stdlib ``asyncio.start_server``;
   keep-alive, NDJSON bodies) with an RFC 6455 WebSocket upgrade at
-  ``GET /v1/stream``.
+  ``GET /v1/ws``.
 
 Routes::
 
@@ -20,17 +20,17 @@ Routes::
     POST /v1/models     submit a model document -> digest record
     POST /v1/simulate   one simulate request -> NDJSON records
     POST /v1/verify     one verify request -> NDJSON records
-    GET  /v1/stream     WebSocket: ops submit/simulate/verify/watch/
+    GET  /v1/ws         WebSocket: ops submit/simulate/verify/watch/
                         stats/ping, multiplexed per connection
 
 Mid-sweep client disconnects are detected on both transports (an EOF
 watchdog on HTTP, the frame reader on WebSocket) and cancel the
 request's future, so the batcher discards the lane instead of
-resolving into the void.  WebSocket ``watch`` subscriptions reuse the
-per-client :class:`~repro.observe.stream.RecordQueue` backpressure
-accounting of the NDJSON stream server: every watcher has its own
-bounded queue with ``accepted``/``dropped`` counters, and a stalled
-watcher loses *its own* records, never another client's.
+resolving into the void.  WebSocket ``watch`` subscriptions are the
+service's live feed (``repro watch HOST:PORT`` is their client): every
+watcher has its own bounded :class:`~repro.observe.log.RecordQueue`
+with ``accepted``/``dropped`` counters, and a stalled watcher loses
+*its own* records, never another client's.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..engine.plan import PlanCacheArg
-from ..observe.log import AccessLogWriter, wide_event
+from ..observe.log import AccessLogWriter, RecordQueue, wide_event
 from ..observe.metrics import (
     REGISTRY,
     record_serve_model,
@@ -51,7 +51,6 @@ from ..observe.metrics import (
     record_serve_stage,
     serve_models,
 )
-from ..observe.stream import RecordQueue
 from ..observe.trace import MAIN_TID, RequestContext, SpanTracer, new_trace_id
 from . import wsproto
 from .batcher import SWEEP_BACKEND, BatchingEngine
@@ -680,7 +679,6 @@ class ServeServer:
         finally:
             if watcher is not None:
                 self._watchers.discard(watcher)
-                watcher.queue.close()
             for task in list(conn.tasks):
                 task.cancel()
             writer.close()

@@ -1,7 +1,7 @@
 """Minimal RFC 6455 WebSocket framing (stdlib only).
 
 Just enough of the protocol for the simulation service's
-``GET /v1/stream`` endpoint: the opening handshake digest, unfragmented
+``GET /v1/ws`` endpoint: the opening handshake digest, unfragmented
 text/binary/control frames, client-side masking, 16/64-bit extended
 lengths, and clean close.  Compression, fragmentation and extensions
 are deliberately out of scope -- a frame with FIN unset is rejected.
@@ -100,36 +100,3 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
         payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
     return opcode, payload
 
-
-def decode_frame(data: bytes) -> Tuple[int, bytes, int]:
-    """Synchronous single-frame decode for buffered clients/tests.
-
-    Returns ``(opcode, payload, consumed)``; raises
-    :class:`IndexError`/:class:`struct.error` when ``data`` is short.
-    """
-    fin = data[0] & 0x80
-    if not fin:
-        raise WsError("fragmented frames are not supported")
-    opcode = data[0] & 0x0F
-    masked = data[1] & 0x80
-    length = data[1] & 0x7F
-    pos = 2
-    if length == 126:
-        (length,) = struct.unpack("!H", data[pos:pos + 2])
-        pos += 2
-    elif length == 127:
-        (length,) = struct.unpack("!Q", data[pos:pos + 8])
-        pos += 8
-    key = None
-    if masked:
-        key = data[pos:pos + 4]
-        if len(key) < 4:
-            raise IndexError("short mask")
-        pos += 4
-    end = pos + length
-    if len(data) < end:
-        raise IndexError("short payload")
-    payload = data[pos:end]
-    if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return opcode, payload, end

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.observe import AccessLogWriter, parse_access_log, wide_event
+from repro.observe.log import RecordQueue
 
 
 class TestWideEvent:
@@ -76,6 +77,17 @@ class TestAccessLogWriter:
         writer.close()
         assert '"id":"out"' in capsys.readouterr().out
         print("stdout still usable")  # would raise on a closed stream
+
+
+class TestRecordQueue:
+    def test_record_queue_drops_when_full(self):
+        q = RecordQueue(maxsize=2)
+        assert q.offer(1) and q.offer(2)
+        assert not q.offer(3)
+        assert q.accepted == 2 and q.dropped == 1
+        assert q.drain() == [1, 2]
+        assert q.offer(4)
+        assert q.get() == 4
 
 
 class TestParseAccessLog:

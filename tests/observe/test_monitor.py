@@ -328,14 +328,3 @@ class TestMonitorReuse:
         assert not monitor.report.ok
         fig1_model().elaborate(observe=monitor).run()
         assert monitor.report.ok  # fresh evaluation per run
-
-    def test_listener_sees_every_violation_live(self):
-        seen = []
-        monitor = AssertionMonitor(
-            default_properties(), listener=seen.append
-        )
-        conflict_model().elaborate(observe=monitor).run()
-        # The listener sees detection order; the report is re-sorted
-        # by (CS, PH) -- same set either way.
-        assert sorted(seen, key=lambda v: v.sort_key()) \
-            == monitor.report.violations

@@ -1,5 +1,6 @@
 """The JSONL recorder: schema stability, value encoding, round-trip
-through files, and RunReport aggregation."""
+through files, RunReport aggregation, and the one-line rendering of
+live records."""
 
 import json
 
@@ -12,6 +13,7 @@ from repro.observe import (
     RunReport,
     decode_value,
     encode_value,
+    format_event,
     read_events,
 )
 
@@ -220,3 +222,27 @@ class TestTruncatedLogs:
         assert read_events(str(path), strict=False) == []
         report = RunReport.from_jsonl(str(path))
         assert report.render()
+
+
+class TestFormatEvent:
+    def test_each_record_kind_renders(self):
+        conflict = format_event({
+            "event": "conflict", "cs": 2, "ph": "rb", "signal": "B1",
+            "drivers": [["a", 1], ["b", 2]], "digest": "d",
+        })
+        violation = format_event({
+            "event": "violation", "cs": 2, "ph": "rb",
+            "property": "never_illegal", "signal": "B1",
+            "message": "observed ILLEGAL",
+        })
+        assert conflict == "CONFLICT   cs2.rb B1 (drivers: a=1, b=2)"
+        assert violation == (
+            "VIOLATION  cs2.rb [never_illegal] B1 observed ILLEGAL"
+        )
+
+    def test_unknown_kind_falls_back_to_json(self):
+        line = format_event({"event": "mystery", "cs": 1})
+        assert line.startswith("mystery  ")
+        assert json.loads(line.split("  ", 1)[1]) == {
+            "event": "mystery", "cs": 1,
+        }

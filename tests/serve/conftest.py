@@ -1,6 +1,5 @@
 """Shared fixtures for the simulation-service tests."""
 
-import asyncio
 import json
 import socket
 
@@ -8,7 +7,6 @@ import pytest
 
 from repro.core import ModuleSpec, RTModel
 from repro.serve import serve_in_thread
-from repro.serve.wsproto import encode_close, encode_text, read_frame, OP_TEXT
 
 
 def fig1_model(cs_max=7, r1=2, r2=3):
@@ -57,7 +55,7 @@ def server():
 
 
 # ----------------------------------------------------------------------
-# raw-socket helpers (pipelining, disconnect and WebSocket tests)
+# raw-socket helpers (pipelining, disconnect and error-path tests)
 # ----------------------------------------------------------------------
 def raw_socket(host, port):
     """A connected TCP socket with Nagle off (so tiny test requests
@@ -106,62 +104,3 @@ def read_http_response(sock):
     ]
     return status, records
 
-
-class WsClient:
-    """Minimal synchronous WebSocket test client (own event loop)."""
-
-    def __init__(self, host, port):
-        self._loop = asyncio.new_event_loop()
-        self.reader, self.writer = self._loop.run_until_complete(
-            self._connect(host, port)
-        )
-
-    async def _connect(self, host, port):
-        reader, writer = await asyncio.open_connection(host, port)
-        sock = writer.get_extra_info("socket")
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        writer.write((
-            "GET /v1/ws HTTP/1.1\r\n"
-            "Host: test\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
-            "Sec-WebSocket-Version: 13\r\n"
-            "\r\n"
-        ).encode())
-        await writer.drain()
-        head = await reader.readuntil(b"\r\n\r\n")
-        assert b" 101 " in head.split(b"\r\n")[0] + b" ", head
-        return reader, writer
-
-    def send(self, payload):
-        self.writer.write(encode_text(json.dumps(payload), mask=True))
-        self._loop.run_until_complete(self.writer.drain())
-
-    def recv(self, timeout=30.0):
-        """The next text frame, decoded."""
-        op, data = self._loop.run_until_complete(
-            asyncio.wait_for(read_frame(self.reader), timeout)
-        )
-        assert op == OP_TEXT, f"unexpected opcode {op}"
-        return json.loads(data)
-
-    def call(self, payload, terminal=("result", "error", "model", "pong",
-                                      "health", "watching")):
-        """Send one op and collect records up to the terminal one."""
-        self.send(payload)
-        records = []
-        while True:
-            record = self.recv()
-            records.append(record)
-            if record.get("event") in terminal:
-                return records
-
-    def close(self):
-        try:
-            self.writer.write(encode_close(mask=True))
-            self._loop.run_until_complete(self.writer.drain())
-        except (ConnectionError, OSError):
-            pass
-        self.writer.close()
-        self._loop.close()

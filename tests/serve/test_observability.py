@@ -21,8 +21,9 @@ import pytest
 
 from repro.observe import parse_access_log, parse_prometheus
 from repro.serve import FlightRecorder, ServeClient, serve_in_thread
+from repro.serve.client import WsClient
 
-from .conftest import WsClient, fig1_model
+from .conftest import fig1_model
 
 
 def _http_get(host, port, path):

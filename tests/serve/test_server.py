@@ -11,10 +11,10 @@ import pytest
 
 from repro.core.serialize import model_to_dict
 from repro.serve import ServeClient, ServeClientError, serve_in_thread
+from repro.serve.client import WsClient
 from repro.serve.protocol import decode_registers
 
 from .conftest import (
-    WsClient,
     conflict_model,
     fig1_model,
     http_request,
@@ -300,6 +300,27 @@ class TestWebSocket:
         finally:
             actor.close()
             watcher.close()
+
+    def test_watch_records_use_the_recorder_schema(self, server):
+        """The live feed speaks the JSONL recorder's schema: each
+        watched conflict record is the recorder's record of the same
+        run, plus the design digest."""
+        from repro.observe import JsonlRecorder
+
+        clash = conflict_model()
+        recorder = JsonlRecorder()
+        clash.elaborate(backend="compiled", observe=recorder).run()
+        recorded = [e for e in recorder.events if e["event"] == "conflict"]
+        watcher = WsClient(*server.address)
+        try:
+            assert watcher.call({"op": "watch"})[-1]["event"] == "watching"
+            with ServeClient(*server.address) as client:
+                digest = client.verify(clash)[-1]["digest"]
+            watched = [watcher.recv(timeout=30.0) for _ in recorded]
+        finally:
+            watcher.close()
+        assert all(record.pop("digest") == digest for record in watched)
+        assert watched == recorded
 
     def test_bad_frame_is_an_error_record(self, server):
         ws = WsClient(*server.address)

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -557,8 +559,49 @@ class TestMonitorCli:
         ]) == 1
         assert "--profile-sample needs" in capsys.readouterr().err
 
+    def test_interpreter_path_rejects_assert_out_alone(
+        self, fig1_vhd, tmp_path, capsys
+    ):
+        report = tmp_path / "a.json"
+        assert main([
+            "run", str(fig1_vhd), "--top", "example",
+            "--assert-out", str(report),
+        ]) == 1
+        assert "--assert-out needs" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_interpreter_path_rejects_profile_sample_alone(
+        self, fig1_vhd, capsys
+    ):
+        assert main([
+            "run", str(fig1_vhd), "--top", "example", "--profile-sample", "3",
+        ]) == 1
+        assert "--profile-sample needs" in capsys.readouterr().err
+
+    def test_batched_sweep_rejects_profile_sample_alone(
+        self, fig1_json, capsys
+    ):
+        assert main([
+            "simulate", str(fig1_json), "--backend", "compiled-batched",
+            "--batch", "2", "--profile-sample", "3",
+        ]) == 1
+        assert "--profile-sample needs" in capsys.readouterr().err
+
+
+def _wait_for(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; False if ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
 
 class TestStreamCli:
+    """`repro watch` as the live client of `repro serve`; a local run
+    takes no stream flags."""
+
     def _free_port(self):
         import socket
 
@@ -568,70 +611,49 @@ class TestStreamCli:
         sock.close()
         return port
 
-    def test_stream_serves_the_run(self, clash_json):
-        import io
-        import threading
+    def _watch_a_conflicting_verify(self, capsys, clash_json, *flags):
+        """Run `repro watch` against a served conflicting verify;
+        returns (exit code, printed lines, the verify's result)."""
+        from repro.core.serialize import load
+        from repro.serve import ServeClient, serve_in_thread
 
-        from repro.observe import watch_stream
-
-        port = self._free_port()
         codes = {}
+        with serve_in_thread() as handle:
+            host, port = handle.address
 
-        def runner():
-            codes["rc"] = main([
-                "simulate", str(clash_json), "--monitor",
-                "--stream", f"127.0.0.1:{port}", "--stream-wait", "10",
-            ])
+            def watch():
+                codes["rc"] = main([
+                    "watch", f"{host}:{port}", "--timeout", "10", *flags,
+                ])
 
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        events = []
-        deadline = 50
-        while deadline:
-            try:
-                watch_stream(
-                    "127.0.0.1", port, out=io.StringIO(), timeout=10.0,
-                    on_event=events.append,
-                )
-                break
-            except OSError:
-                import time
-
-                time.sleep(0.1)
-                deadline -= 1
-        thread.join(timeout=30.0)
-        assert codes["rc"] == 1  # conflicts + violations
-        kinds = {e["event"] for e in events}
-        assert "violation" in kinds and "conflict" in kinds
-        assert events[-1]["event"] == "run_end"
-
-    def test_watch_renders_a_live_stream(self, capsys):
-        import threading
-
-        from repro.observe import StreamServer
-
-        with StreamServer(wait_for_client=10.0) as server:
-            host, port = server.address
-
-            def feeder():
-                server._have_client.wait(10.0)
-                server.emit({"event": "step", "cs": 1})
-                server.emit({
-                    "event": "violation", "cs": 2, "ph": "rb",
-                    "property": "never_illegal", "signal": "B1",
-                    "message": "observed ILLEGAL",
-                })
-                server.close()
-
-            thread = threading.Thread(target=feeder, daemon=True)
+            thread = threading.Thread(target=watch, daemon=True)
             thread.start()
-            assert main([
-                "watch", f"{host}:{port}", "--timeout", "10",
-            ]) == 0
-            thread.join(timeout=10.0)
-        captured = capsys.readouterr()
-        assert "VIOLATION" in captured.out
-        assert "never_illegal" in captured.out
+            assert _wait_for(lambda: handle.server._watchers), \
+                "repro watch never subscribed"
+            with ServeClient(host, port) as client:
+                result = client.verify(load(clash_json))[-1]
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        return codes["rc"], capsys.readouterr().out.splitlines(), result
+
+    def test_watch_renders_a_live_stream(self, clash_json, capsys):
+        rc, lines, result = self._watch_a_conflicting_verify(
+            capsys, clash_json, "--max-events", "2",
+        )
+        assert rc == 0
+        assert result["ok"] is False
+        assert len(lines) == 2
+        assert all(line.startswith("CONFLICT   cs2.rb ") for line in lines)
+
+    def test_watch_raw_prints_the_json_records(self, clash_json, capsys):
+        rc, lines, result = self._watch_a_conflicting_verify(
+            capsys, clash_json, "--raw", "--max-events", "1",
+        )
+        assert rc == 0
+        (record,) = [json.loads(line) for line in lines]
+        assert record["event"] == "conflict"
+        assert (record["cs"], record["ph"]) == (2, "rb")
+        assert record["digest"] == result["digest"]
 
     def test_watch_connection_refused(self, capsys):
         port = self._free_port()
@@ -644,19 +666,11 @@ class TestStreamCli:
         assert main(["watch", "not-a-port"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_stream_wait_requires_stream(self, fig1_json, capsys):
-        assert main([
-            "simulate", str(fig1_json), "--stream-wait", "5",
-        ]) == 1
-        assert "--stream-wait needs" in capsys.readouterr().err
-
-    @needs_numpy
-    def test_batched_rejects_stream(self, fig1_json, capsys):
-        assert main([
-            "simulate", str(fig1_json), "--backend", "compiled-batched",
-            "--stream", "127.0.0.1:0",
-        ]) == 1
-        assert "single-run output" in capsys.readouterr().err
+    def test_stream_flags_are_gone(self, fig1_json):
+        for flags in (["--stream", "127.0.0.1:0"], ["--stream-wait", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", str(fig1_json), *flags])
+            assert exc.value.code == 2
 
 
 class TestReportOnTruncatedLogs:
