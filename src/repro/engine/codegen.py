@@ -720,6 +720,12 @@ _MEMO: Dict[str, Tuple[Dict[str, Any], Any]] = {}
 _LOCK = threading.Lock()
 
 
+def forget_module(digest: str) -> None:
+    """Drop ``digest``'s memoized module.  Lock-free: finalizers call
+    it, and one can run while :data:`_LOCK` is held."""
+    _MEMO.pop(digest, None)
+
+
 def _compile_artifact(text: str, digest: str):
     return compile(text, f"<repro-codegen:{digest[:16]}>", "exec")
 

@@ -29,7 +29,8 @@ structurally free (checked by the E6 overhead benchmark) and the
 enabled cost is one dictionary update per run.
 
 All mutation is guarded by one registry lock; the service's event-loop
-thread, its sweep thread and the main thread may report concurrently.
+thread, the main thread and library callers' threads may report
+concurrently.
 """
 
 from __future__ import annotations
@@ -726,7 +727,7 @@ def record_serve_batch(lanes: int, sweep_ms: float) -> None:
     )).observe(lanes)
     _serve_series(("sweep_ms",), lambda: REGISTRY.histogram(
         "repro_serve_sweep_ms",
-        "Wall milliseconds per coalesced sweep (executor side).",
+        "Wall milliseconds per coalesced sweep, first rider to last.",
     )).observe(sweep_ms)
 
 

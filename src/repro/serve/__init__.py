@@ -4,9 +4,9 @@ The paper's clockless RT models elaborate to input-independent static
 schedules, which makes them unusually good service payloads: a design
 is submitted once (digest-keyed, plan-cache backed), and concurrent
 single-vector requests against it coalesce into one sweep of a
-re-armed ``compiled-py`` elaboration on the sweep thread, with
-per-lane results de-multiplexed back to each caller -- bit-identical
-to sequential ``compiled`` runs.
+re-armed ``compiled-py`` elaboration, run on the event loop one lane
+at a time, with per-lane results de-multiplexed back to each caller
+-- bit-identical to sequential ``compiled`` runs.
 
 * :class:`ServeServer` / :func:`serve_in_thread` -- the asyncio HTTP +
   WebSocket server (``repro serve``).

@@ -2,25 +2,29 @@
 
 Concurrent single-vector simulate/verify requests against the same
 design (and the same property set) coalesce into one sweep: the first
-request wakes the design's worker, which drains everything else that
-queued behind it (up to ``max_batch``) into a single batch, runs the
-lanes through one re-armed ``compiled-py`` elaboration on the sweep
-thread, and de-multiplexes per-lane registers, conflicts, monitor
-violations and clean flags back to each caller's future.  Batching is
-*natural*: while one sweep is in flight on the sweep thread, new
-arrivals pile up in the queue and form the next batch -- no timer is
-needed at load, though ``batch_window_ms`` can force a gathering
-pause (tests use it to pin deterministic batch shapes).
+request opens the pair's lane, whose drain task takes everything that
+queued behind it (up to ``max_batch``) as one batch and runs it on the
+event loop, one rider at a time, through the design's re-armed
+``compiled-py`` elaboration.  Per-rider registers, conflicts, monitor
+violations and clean flags reach each caller's future when the batch
+ends.  Batching is *natural*: while one batch runs, new arrivals pile
+up in the queue and form the next batch -- no timer is needed at load,
+though ``batch_window_ms`` can force a gathering pause (tests use it
+to pin deterministic batch shapes).  A lane's drain task exits once
+its queue is empty.  Runs are pure Python that a thread could not
+overlap under the GIL; yielding between riders lets arrivals, health
+checks, deadline timers and disconnect watchdogs in between lanes.
 
 Admission control is a server-wide bound on queued requests
 (``max_pending``): when the backlog is full a request is rejected
 immediately with a ``queue_full`` error (HTTP 503) instead of growing
-an unbounded queue.  Per-request deadlines cover queue wait and sweep:
+an unbounded queue.  Per-request deadlines cover queue wait and batch:
 requests already past their deadline when the batch forms are failed
 without occupying a lane, and callers waiting on a future time out on
-their own clock (the lane result of a timed-out or disconnected caller
-is simply discarded -- the sweep itself is never torn down, matching
-the cancellation semantics documented in ``docs/serving.md``).
+their own clock.  A rider whose caller timed out or disconnected
+before its turn is skipped; one whose lane already ran has its result
+discarded -- the batch itself is never torn down, matching the
+cancellation semantics documented in ``docs/serving.md``.
 
 Per-lane verdicts are bit-identical to scalar ``compiled`` runs: each
 lane is a :meth:`~repro.engine.compiled.CompiledRTSimulation.rearm`
@@ -34,7 +38,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..observe import recorder
 from ..observe.metrics import (
@@ -59,12 +64,9 @@ from .protocol import ServeError, SimRequest
 #: elaboration of the generated kernel.
 SWEEP_BACKEND = "compiled-py"
 
-#: Wakes a lane worker during shutdown.
-_STOP = object()
-
 
 # ----------------------------------------------------------------------
-# the sweep itself (runs on the sweep thread)
+# the sweep itself
 # ----------------------------------------------------------------------
 def run_sweep(
     entry: CachedDesign,
@@ -88,9 +90,10 @@ def run_sweep(
     elaboration.  Per lane this is bit-identical to a sequential
     ``compiled`` run (differential-tested in ``tests/serve``).
 
-    ``state``, when given, persists the armed elaboration across
-    sweeps of the same lane (the caller must guarantee the lane's
-    sweeps never overlap -- the per-lane worker serializes them).
+    ``state``, when given, keeps the armed elaborations across calls
+    (the service passes :attr:`CachedDesign.armed`).  Calls sharing it
+    must not overlap; the service's run on the event loop and none
+    yields, so every property set of a design shares them.
     """
     model = entry.model
     key = (backend, properties is not None)
@@ -156,9 +159,10 @@ class PendingRequest:
 
 
 class _Lane:
-    """One (design, property-set) batching queue and its worker."""
+    """One (design, property-set) batching queue; its drain task exits
+    when the queue is empty."""
 
-    __slots__ = ("entry", "properties", "queue", "task", "key", "state", "tid")
+    __slots__ = ("entry", "properties", "key", "queue", "task", "tid")
 
     def __init__(
         self,
@@ -170,25 +174,21 @@ class _Lane:
         self.entry = entry
         self.properties = properties
         self.key = key
-        self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
+        self.queue: Deque[PendingRequest] = deque()
         self.task: Optional[asyncio.Task] = None
-        #: armed-elaboration store for run_sweep (executor-confined:
-        #: this lane's sweeps never overlap, the worker awaits each).
-        self.state: dict = {}
         #: trace track: coalesce/sweep spans of this lane render on
         #: their own Chrome-trace row.
         self.tid = tid
 
 
 class BatchingEngine:
-    """Admission control + per-design lanes + executor dispatch."""
+    """Admission control + per-design lanes, swept on the event loop."""
 
     def __init__(
         self,
         max_batch: int = 64,
         max_pending: int = 256,
         batch_window_ms: float = 0.0,
-        executor: Any = None,
         on_records: Optional[Callable[[str, List[dict]], None]] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> None:
@@ -200,7 +200,6 @@ class BatchingEngine:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.batch_window_ms = batch_window_ms
-        self._executor = executor
         #: observer hook: (digest, wire records of one sweep) -- the
         #: server fans these out to WebSocket watch subscriptions.
         self.on_records = on_records
@@ -210,7 +209,10 @@ class BatchingEngine:
         #: monotonically numbered sweeps -- the ``batch`` span arg that
         #: joins a request's queue span to the sweep it coalesced into.
         self._batch_seq = 0
+        #: lanes that hold requests; a lane leaves when it drains
         self._lanes: Dict[Tuple[str, Optional[str]], _Lane] = {}
+        #: trace track per lane key seen (empty when untraced)
+        self._tracks: Dict[Tuple[str, Optional[str]], int] = {}
         self._pending = 0
         self._in_flight: set = set()
         self._closing = False
@@ -236,14 +238,17 @@ class BatchingEngine:
                     properties = parse_properties(request.properties)
                 except Exception as exc:
                     raise ServeError("bad_request", f"bad properties: {exc}")
-        tid = (
-            self.tracer.alloc_track(f"lane {entry.digest[:8]}")
-            if self.tracer is not None
-            else MAIN_TID
-        )
+        if self.tracer is None:
+            tid = MAIN_TID
+        elif key in self._tracks:
+            tid = self._tracks[key]
+        else:
+            tid = self._tracks[key] = self.tracer.alloc_track(
+                f"lane {entry.digest[:8]}"
+            )
         lane = _Lane(entry, properties, key, tid=tid)
         lane.task = asyncio.get_running_loop().create_task(
-            self._worker(lane), name=f"repro-serve-lane-{entry.digest[:12]}"
+            self._drain(lane), name=f"repro-serve-lane-{entry.digest[:12]}"
         )
         self._lanes[key] = lane
         return lane
@@ -307,7 +312,7 @@ class BatchingEngine:
         serve_queue_depth().set(self._pending)
         self._in_flight.add(pending.future)
         pending.future.add_done_callback(self._in_flight.discard)
-        lane.queue.put_nowait(pending)
+        lane.queue.append(pending)
         try:
             if deadline is None:
                 return await pending.future
@@ -315,12 +320,7 @@ class BatchingEngine:
             try:
                 return await asyncio.wait_for(pending.future, timeout=remaining)
             except asyncio.TimeoutError:
-                self.expired += 1
-                record_serve_rejection("deadline")
-                record_serve_deadline_budget(
-                    (time.perf_counter() - pending.enqueued)
-                    * 1000.0 / request.deadline_ms
-                )
+                self._expire(pending)
                 raise ServeError(
                     "deadline",
                     f"deadline of {request.deadline_ms:g}ms exhausted "
@@ -328,62 +328,52 @@ class BatchingEngine:
                 ) from None
         finally:
             # Guarantee a caller that bails (disconnect, cancellation)
-            # leaves a done future behind, so the worker discards its
-            # lane instead of resolving into the void.
+            # leaves a done future behind, so the drain task skips or
+            # discards its lane instead of resolving into the void.
             if not pending.future.done():
                 pending.future.cancel()
 
-    # -- the per-lane worker ----------------------------------------------
-    async def _worker(self, lane: _Lane) -> None:
+    def _expire(self, req: PendingRequest) -> None:
+        """Count one deadline expiry and the budget share it used."""
+        self.expired += 1
+        record_serve_rejection("deadline")
+        if req.budget_ms:
+            record_serve_deadline_budget(
+                (time.perf_counter() - req.enqueued) * 1000.0 / req.budget_ms
+            )
+
+    # -- the per-lane drain task -----------------------------------------
+    async def _drain(self, lane: _Lane) -> None:
         loop = asyncio.get_running_loop()
-        while True:
-            first = await lane.queue.get()
-            if first is _STOP:
-                return
-            gather_t0 = time.perf_counter()
-            if self.batch_window_ms > 0:
-                await asyncio.sleep(self.batch_window_ms / 1000.0)
-            batch: List[PendingRequest] = [first]
-            stopped = False
-            while len(batch) < self.max_batch:
-                try:
-                    item = lane.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _STOP:
-                    stopped = True
-                    break
-                batch.append(item)
-            now = loop.time()
-            live: List[PendingRequest] = []
-            for req in batch:
-                self._pending -= 1
-                if req.future.done():  # caller already gone
-                    self.discarded += 1
-                    continue
-                if req.deadline is not None and now >= req.deadline:
-                    self.expired += 1
-                    record_serve_rejection("deadline")
-                    if req.budget_ms:
-                        record_serve_deadline_budget(
-                            (time.perf_counter() - req.enqueued)
-                            * 1000.0 / req.budget_ms
-                        )
-                    req.future.set_exception(ServeError(
-                        "deadline", "deadline expired before dispatch"
-                    ))
-                    continue
-                live.append(req)
-            serve_queue_depth().set(self._pending)
-            if live:
-                await self._dispatch(lane, live, gather_t0)
-            if stopped:
-                return
+        try:
+            while lane.queue:
+                gather_t0 = time.perf_counter()
+                if self.batch_window_ms > 0:
+                    await asyncio.sleep(self.batch_window_ms / 1000.0)
+                now = loop.time()
+                live: List[PendingRequest] = []
+                for _ in range(min(len(lane.queue), self.max_batch)):
+                    req = lane.queue.popleft()
+                    self._pending -= 1
+                    if req.future.done():  # caller already gone
+                        self.discarded += 1
+                        continue
+                    if req.deadline is not None and now >= req.deadline:
+                        self._expire(req)
+                        req.future.set_exception(ServeError(
+                            "deadline", "deadline expired before dispatch"
+                        ))
+                        continue
+                    live.append(req)
+                serve_queue_depth().set(self._pending)
+                if live:
+                    await self._dispatch(lane, live, gather_t0)
+        finally:  # no await since the empty check: no rider is lost
+            del self._lanes[lane.key]
 
     async def _dispatch(
         self, lane: _Lane, live: List[PendingRequest], gather_t0: float
     ) -> None:
-        loop = asyncio.get_running_loop()
         self._batch_seq += 1
         seq = self._batch_seq
         t0 = time.perf_counter()
@@ -401,16 +391,20 @@ class BatchingEngine:
                 args={"batch": seq, "lanes": len(live)},
             )
         record_serve_stage("coalesce", (t0 - gather_t0) * 1000.0)
+        # One run_sweep call per rider, yielding between them; None
+        # marks a rider whose caller left before its turn.
+        lanes: List[Optional[dict]] = []
         try:
-            lanes = await loop.run_in_executor(
-                self._executor,
-                run_sweep,
-                lane.entry,
-                [req.vector for req in live],
-                lane.properties,
-                self.backend,
-                lane.state,
-            )
+            for req in live:
+                if lanes:
+                    await asyncio.sleep(0)
+                if req.future.done():
+                    lanes.append(None)
+                    continue
+                lanes.extend(run_sweep(
+                    lane.entry, [req.vector], lane.properties, self.backend,
+                    lane.entry.armed,
+                ))
         except Exception as exc:  # a sweep bug must not kill the lane
             for req in live:
                 if not req.future.done():
@@ -440,6 +434,9 @@ class BatchingEngine:
         now = time.perf_counter()
         fanout: List[dict] = []
         for req, result in zip(live, lanes):
+            if result is None:
+                self.discarded += 1
+                continue
             result["batch"] = len(live)
             result["sweep_ms"] = sweep_ms
             queue_ms = max(0.0, (now - req.enqueued) * 1000.0 - sweep_ms)
@@ -472,10 +469,6 @@ class BatchingEngine:
     def queue_depth(self) -> int:
         return self._pending
 
-    @property
-    def closing(self) -> bool:
-        return self._closing
-
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop admitting, then wait for every admitted request.
 
@@ -493,17 +486,14 @@ class BatchingEngine:
             return False
 
     async def close(self, timeout: Optional[float] = 10.0) -> bool:
-        """Graceful shutdown: drain in-flight sweeps, stop the workers."""
+        """Graceful shutdown: drain, then cancel what outlived the
+        budget; lanes skip cancelled riders, so they empty at once."""
         drained = await self.drain(timeout=timeout)
-        for lane in self._lanes.values():
-            lane.queue.put_nowait(_STOP)
-        for lane in self._lanes.values():
-            if lane.task is not None:
-                try:
-                    await asyncio.wait_for(lane.task, timeout=5.0)
-                except asyncio.TimeoutError:  # pragma: no cover - defensive
-                    lane.task.cancel()
-        self._lanes.clear()
+        for future in list(self._in_flight):
+            future.cancel()
+        tasks = [lane.task for lane in self._lanes.values() if lane.task]
+        if tasks:
+            await asyncio.wait(tasks)
         return drained
 
     def stats(self) -> dict:

@@ -12,23 +12,24 @@ LRU-bounded; evicting an entry only drops the in-process reference --
 the on-disk tiers keep the artifacts, so a re-submitted design
 warm-starts.
 
-Thread-safety: submits happen on the event-loop thread, sweeps read
-entries from the sweep thread; a lock guards the table, and entries
-themselves are immutable after construction.  The generated executor
-module is resolved lazily by the codegen layer under its own lock, so
-a digest compiles once per process however many threads ask for it.
+Submits and sweeps run on the event-loop thread; a lock guards the
+table for health reads from other threads.  An entry owns its design's
+armed elaborations and, through a finalizer, its codegen memo entry,
+so ``max_models`` alone bounds what a server holds.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.model import ModelError, RTModel
 from ..core.serialize import SerializeError, model_from_dict
-from ..engine.plan import Plan, PlanCacheArg, resolve_plan
+from ..engine.codegen import forget_module
+from ..engine.plan import Plan, PlanCacheArg, model_digest, resolve_plan
 from .protocol import ServeError
 
 
@@ -47,6 +48,11 @@ class CachedDesign:
     plan_cache: PlanCacheArg = None
     #: how many simulate/verify requests this design has served
     requests: int = 0
+    #: run_sweep's armed elaborations, at most one monitored and one not
+    armed: Dict[Tuple[str, bool], Any] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        weakref.finalize(self, forget_module, self.digest)
 
     def describe(self) -> dict:
         return {
@@ -90,23 +96,23 @@ class ModelCache:
     def submit(self, document: Mapping[str, Any]) -> Tuple[CachedDesign, bool]:
         """Register a model document; returns ``(entry, already_cached)``.
 
-        The expensive step -- deserialize, digest, lower (or unpickle
-        the plan tier's entry) -- runs at most once per digest.
+        Every submit deserializes and digests; only a digest that is
+        not resident is lowered (or read from the plan tier).
         """
         try:
             model = model_from_dict(document)
+            digest = model_digest(model)
         except (SerializeError, ModelError, ValueError) as exc:
             raise ServeError("model_error", str(exc))
-        try:
-            handle = resolve_plan(model, None, self._plan_cache)
-        except ModelError as exc:
-            raise ServeError("model_error", str(exc))
-        digest = handle.plan.digest
-        with self._lock:
+        with self._lock:  # held while lowering: a digest lowers once
             hit = self._designs.get(digest)
             if hit is not None:
                 self._designs.move_to_end(digest)
                 return hit, True
+            try:
+                handle = resolve_plan(model, None, self._plan_cache)
+            except ModelError as exc:
+                raise ServeError("model_error", str(exc))
             entry = CachedDesign(
                 digest=digest,
                 model=model,

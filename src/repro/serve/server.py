@@ -7,7 +7,7 @@ One :class:`ServeServer` owns the three moving parts:
   when a PlanCache is attached),
 * a :class:`~repro.serve.batcher.BatchingEngine` coalescing concurrent
   requests per design into single sweeps of one re-armed elaboration,
-  run on one sweep thread,
+  run on the event loop one lane at a time,
 * a hand-rolled HTTP/1.1 transport (stdlib ``asyncio.start_server``;
   keep-alive, NDJSON bodies) with an RFC 6455 WebSocket upgrade at
   ``GET /v1/ws``.
@@ -39,7 +39,6 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..engine.plan import PlanCacheArg
@@ -214,25 +213,14 @@ class ServeServer:
         #: always-on ring of recent wide events, dumped on 5xx/SIGUSR1.
         self.flight = FlightRecorder(capacity=flight_size, directory=flight_dir)
         self.models = ModelCache(plan_cache=plan_cache, max_models=max_models)
-        # One sweep thread.  More would isolate nothing: sweeps are pure
-        # Python and hold the GIL (no served sweep calls into numpy), so
-        # while one thread compiles a design another barely runs.  And
-        # each extra thread that compiles grows its own glibc malloc
-        # arena to the compile's peak and keeps it, so the resident set
-        # would depend on which threads happened to compile.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-sweep"
-        )
         self.engine = BatchingEngine(
             max_batch=max_batch,
             max_pending=max_pending,
             batch_window_ms=batch_window_ms,
-            executor=self._executor,
             on_records=self._fanout,
             tracer=self.tracer,
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._watchers: Set[_Watcher] = set()
         self._conns: Set[Any] = set()
         self._started = 0.0
@@ -242,7 +230,6 @@ class ServeServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ServeServer":
-        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -281,7 +268,6 @@ class ServeServer:
             writer.close()
         if self._server is not None:
             await self._server.wait_closed()
-        self._executor.shutdown(wait=True)
         if self.tracer is not None and self._trace_out:
             self.tracer.write(self._trace_out)
         if self.access is not None:
@@ -306,7 +292,11 @@ class ServeServer:
                 if parsed is None:
                     return
                 method, path, headers, body, t_first = parsed
-                if headers.get("upgrade", "").lower() == "websocket":
+                if (
+                    path == "/v1/ws"
+                    and method == "GET"
+                    and headers.get("upgrade", "").lower() == "websocket"
+                ):
                     await self._handle_websocket(reader, writer, headers, tid)
                     return
                 keep_alive = (
@@ -377,10 +367,14 @@ class ServeServer:
             raise ServeError("bad_request", "bad Content-Length")
         if length > MAX_BODY:
             raise ServeError("too_large", f"body exceeds {MAX_BODY} bytes")
-        body = rest[:length]
-        conn.carry = rest[length:]
-        if len(body) < length:
-            body += await conn.reader.readexactly(length - len(body))
+        data = bytearray(rest)
+        while len(data) < length:  # next_chunk honours the watchdog read
+            chunk = await conn.next_chunk()
+            if not chunk:
+                raise asyncio.IncompleteReadError(bytes(data), length)
+            data += chunk
+        conn.carry = bytes(data[length:])
+        body = bytes(data[:length])
         return method, path.split("?", 1)[0], headers, body, t_first
 
     def _response(
@@ -583,7 +577,7 @@ class ServeServer:
                 if not data and not sim_task.done():
                     sim_task.cancel()
                     return None
-                conn.carry = data
+                conn.carry += data  # after bytes already carried
             try:
                 return await sim_task
             except asyncio.CancelledError:

@@ -77,14 +77,16 @@ def http_request(path, payload, method="POST"):
 
 
 def read_http_response(sock):
-    """Read one response off a raw socket; returns (status, records)."""
-    buf = b""
-    while b"\r\n\r\n" not in buf:
-        chunk = sock.recv(8192)
-        if not chunk:
+    """Read one response off a raw socket; returns (status, records).
+
+    Reads exactly the response's bytes, so a pipelined response that
+    arrived right behind it stays in the socket for the next call."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        byte = sock.recv(1)
+        if not byte:
             raise ConnectionError("server closed the connection")
-        buf += chunk
-    head, _, rest = buf.partition(b"\r\n\r\n")
+        head += byte
     lines = head.decode("latin-1").split("\r\n")
     status = int(lines[0].split(" ")[1])
     length = 0
@@ -92,15 +94,15 @@ def read_http_response(sock):
         name, _, value = line.partition(":")
         if name.strip().lower() == "content-length":
             length = int(value)
-    while len(rest) < length:
-        chunk = sock.recv(8192)
+    body = b""
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
         if not chunk:
             raise ConnectionError("server closed mid-body")
-        rest += chunk
+        body += chunk
     records = [
         json.loads(line)
-        for line in rest[:length].split(b"\n")
+        for line in body.split(b"\n")
         if line.strip()
     ]
     return status, records
-

@@ -214,11 +214,11 @@ class TestRetryTraceStability:
 
                 # Park one request in the 300ms gathering window so the
                 # single admission slot is occupied.
-                parked = threading.Thread(
-                    target=lambda: ServeClient(host, port).simulate(
-                        digest, id="parked"
-                    )
-                )
+                def park():
+                    with ServeClient(host, port) as parked_client:
+                        parked_client.simulate(digest, id="parked")
+
+                parked = threading.Thread(target=park)
                 parked.start()
                 for _ in range(3000):  # until the slot is actually taken
                     if handle.server.engine.queue_depth >= 1:

@@ -2,17 +2,27 @@
 batching scheduler's failure modes (deadline, admission, disconnect,
 drain), pipelining, and the WebSocket transport."""
 
+import gc
 import json
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.serialize import model_to_dict
-from repro.serve import ServeClient, ServeClientError, serve_in_thread
+from repro.engine import codegen, plan
+from repro.serve import (
+    ModelCache,
+    ServeClient,
+    ServeClientError,
+    batcher,
+    serve_in_thread,
+)
 from repro.serve.client import WsClient
 from repro.serve.protocol import decode_registers
+from repro.serve.server import ServeServer
 
 from .conftest import (
     conflict_model,
@@ -108,6 +118,38 @@ class TestHttpRoutes:
             assert status == 404
             status, _ = client._request("DELETE", "/v1/models")
             assert status == 405
+
+    @pytest.mark.parametrize("cut, rest_after_first_response", [
+        (20, False),  # head split; the rest lands while request 1 sweeps
+        (-5, True),   # body split; the rest lands after response 1
+    ])
+    def test_pipelined_request_split_across_reads(
+        self, cut, rest_after_first_response
+    ):
+        """A pipelined request whose bytes straddle the previous
+        request keeps every byte, whichever read catches the rest."""
+        with serve_in_thread(batch_window_ms=200.0) as handle:
+            with ServeClient(*handle.address) as client:
+                digest = client.submit(tiny_model())["digest"]
+            second = http_request("/v1/simulate", {"model": digest, "id": 2})
+            sock = raw_socket(*handle.address)
+            sock.settimeout(10.0)
+            try:
+                sock.sendall(
+                    http_request("/v1/simulate", {"model": digest, "id": 1})
+                    + second[:cut]
+                )
+                ids = []
+                if rest_after_first_response:
+                    ids.append(read_http_response(sock)[1][-1]["id"])
+                else:
+                    _wait_for(lambda: handle.server.engine.queue_depth >= 1)
+                sock.sendall(second[cut:])
+                while len(ids) < 2:
+                    ids.append(read_http_response(sock)[1][-1]["id"])
+            finally:
+                sock.close()
+        assert ids == [1, 2]
 
     def test_pipelined_requests_share_a_connection(self, server):
         model = tiny_model()
@@ -250,6 +292,106 @@ class TestGracefulShutdown:
 
 
 # ----------------------------------------------------------------------
+# batches run on the event loop, one rider per run_sweep call
+# ----------------------------------------------------------------------
+def _record_lanes(monkeypatch, events, pause=0.0):
+    """Patch ``run_sweep`` to append its thread's name to ``events``
+    per call, and to sleep ``pause`` seconds first."""
+    run_sweep = batcher.run_sweep
+
+    def recording(entry, vectors, properties, backend, state=None):
+        events.append(threading.current_thread().name)
+        if pause:
+            time.sleep(pause)
+        return run_sweep(entry, vectors, properties, backend, state)
+
+    monkeypatch.setattr(batcher, "run_sweep", recording)
+
+
+def _fire(handle, digest, names, outcomes, **fields):
+    """One client thread per name, each simulating ``digest`` once;
+    ``outcomes[name]`` becomes its result record or client error."""
+
+    def one(name):
+        with ServeClient(*handle.address) as client:
+            try:
+                outcomes[name] = client.simulate(digest, id=name, **fields)[-1]
+            except ServeClientError as exc:
+                outcomes[name] = exc
+
+    threads = [threading.Thread(target=one, args=(n,)) for n in names]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+class TestLoopSweeps:
+    def test_every_lane_runs_on_the_loop_thread(self, monkeypatch):
+        lanes = []
+        _record_lanes(monkeypatch, lanes)
+        outcomes = {}
+        with serve_in_thread(batch_window_ms=100.0) as handle:
+            with ServeClient(*handle.address) as client:
+                digest = client.submit(fig1_model())["digest"]
+            for thread in _fire(handle, digest, range(4), outcomes):
+                thread.join()
+        assert all(r["event"] == "result" for r in outcomes.values())
+        assert lanes == ["repro-serve-loop"] * 4
+
+    def test_healthz_is_answered_between_lanes(self, monkeypatch):
+        events = []
+        _record_lanes(monkeypatch, events, pause=0.02)
+        health_record = ServeServer._health_record
+
+        def recorded(server):
+            events.append("health")
+            return health_record(server)
+
+        monkeypatch.setattr(ServeServer, "_health_record", recorded)
+        outcomes = {}
+        with serve_in_thread(batch_window_ms=200.0) as handle:
+            with ServeClient(*handle.address) as client:
+                digest = client.submit(fig1_model())["digest"]
+                threads = _fire(handle, digest, range(8), outcomes)
+                _wait_for(lambda: len(events) >= 1)  # the batch is running
+                assert client.health()["status"] == "ok"
+            for thread in threads:
+                thread.join()
+        assert [r["batch"] for r in outcomes.values()] == [8] * 8
+        lanes = [e for e in events if e != "health"]
+        assert len(lanes) == 8
+        assert events.count("health") == 1
+        # Answered after the batch's first lane and before its last.
+        assert 0 < events.index("health") < len(events) - 1
+
+    def test_deadline_during_a_batch_fails_only_that_rider(
+        self, monkeypatch
+    ):
+        _record_lanes(monkeypatch, [], pause=0.05)
+        outcomes = {}
+        with serve_in_thread(batch_window_ms=300.0) as handle:
+            engine = handle.server.engine
+            with ServeClient(*handle.address) as client:
+                digest = client.submit(fig1_model())["digest"]
+            # The window forms the batch ~300ms after "late" arrives;
+            # its 325ms budget runs out while the batch runs.
+            threads = _fire(
+                handle, digest, ["late"], outcomes, deadline_ms=325
+            )
+            _wait_for(lambda: engine.queue_depth >= 1)
+            threads += _fire(handle, digest, ["a", "b", "c"], outcomes)
+            for thread in threads:
+                thread.join()
+            stats = engine.stats()
+        late = outcomes.pop("late")
+        assert isinstance(late, ServeClientError)
+        assert (late.code, late.status) == ("deadline", 504)
+        assert sorted(outcomes) == ["a", "b", "c"]
+        assert all(r["event"] == "result" for r in outcomes.values())
+        assert stats["expired"] == 1
+
+
+# ----------------------------------------------------------------------
 # WebSocket transport
 # ----------------------------------------------------------------------
 class TestWebSocket:
@@ -322,6 +464,32 @@ class TestWebSocket:
         assert all(record.pop("digest") == digest for record in watched)
         assert watched == recorded
 
+    def test_upgrade_only_at_v1_ws(self, server):
+        """Upgrade headers on any other path route like plain HTTP."""
+        handshake = (
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n"
+        )
+        sock = raw_socket(*server.address)
+        try:
+            sock.sendall(f"GET /v1/nope HTTP/1.1\r\n{handshake}".encode())
+            status, records = read_http_response(sock)
+        finally:
+            sock.close()
+        assert status == 404
+        assert records[0]["code"] == "not_found"
+        sock = raw_socket(*server.address)
+        try:
+            sock.sendall(f"GET /v1/ws HTTP/1.1\r\n{handshake}".encode())
+            status, records = read_http_response(sock)
+        finally:
+            sock.close()
+        assert status == 101
+        assert records == []
+
     def test_bad_frame_is_an_error_record(self, server):
         ws = WsClient(*server.address)
         try:
@@ -338,8 +506,39 @@ class TestWebSocket:
 # ----------------------------------------------------------------------
 # a zero-size model cache retains nothing
 # ----------------------------------------------------------------------
+def _track_release(monkeypatch):
+    """Patch ``run_sweep`` to keep weak references, per digest, to the
+    armed elaborations and the memoized generated module it leaves."""
+    held = {}
+    run_sweep = batcher.run_sweep
+
+    def tracking(entry, vectors, properties, backend, state=None):
+        lanes = run_sweep(entry, vectors, properties, backend, state)
+        refs = held.setdefault(entry.digest, [])
+        refs.extend(weakref.ref(sim) for sim in (state or {}).values())
+        memo = codegen._MEMO.get(entry.digest)
+        if memo is not None:
+            refs.append(weakref.ref(memo[0]["bind"]))
+        return lanes
+
+    monkeypatch.setattr(batcher, "run_sweep", tracking)
+    return held
+
+
+def _assert_released(handle, held, digests):
+    """Nothing of ``digests`` survives a collection: no lane, armed
+    elaboration or memoized module."""
+    gc.collect()
+    assert handle.server.engine.stats()["lanes"] == 0
+    for digest in digests:
+        assert digest not in codegen._MEMO
+        assert held[digest], digest
+        assert all(ref() is None for ref in held[digest]), digest
+
+
 class TestStatelessCache:
-    def test_max_models_zero_retains_nothing(self):
+    def test_max_models_zero_retains_nothing(self, monkeypatch):
+        held = _track_release(monkeypatch)
         model = tiny_model()
         expected = model.elaborate(backend="compiled").run()
         with serve_in_thread(max_models=0, max_batch=1) as handle:
@@ -357,6 +556,49 @@ class TestStatelessCache:
                     == expected.registers
                 )
                 assert client.models() == []
+            # ...and the served design left nothing behind.
+            _assert_released(handle, held, [record["digest"]])
+
+    def test_max_models_bounds_designs_lanes_and_modules(self, monkeypatch):
+        held = _track_release(monkeypatch)
+        # Fig. 1 with 30 other R2 presets: 30 distinct digests.
+        models = [fig1_model(r2=4 + k) for k in range(30)]
+        with serve_in_thread(max_models=2) as handle:
+            with ServeClient(*handle.address) as client:
+                digests = [
+                    client.simulate(model)[-1]["digest"] for model in models
+                ]
+                gc.collect()
+                resident = [row["digest"] for row in client.models()]
+                assert len(set(digests)) == 30
+                assert resident == digests[-2:]
+                _assert_released(handle, held, digests[:-2])
+                # An evicted design is served again, and right.
+                vector = {"R1": 9, "R2": 4}
+                again = client.simulate(models[0], register_values=vector)
+            expected = models[0].elaborate(
+                register_values=vector, backend="compiled"
+            ).run()
+        assert decode_registers(again[-1]["registers"]) == expected.registers
+
+
+class TestModelCache:
+    def test_resident_resubmit_skips_lowering(self, monkeypatch):
+        lowered = []
+        lower = plan.lower
+
+        def counting(model, digest=None):
+            lowered.append(model.name)
+            return lower(model, digest)
+
+        monkeypatch.setattr(plan, "lower", counting)
+        cache = ModelCache()
+        document = model_to_dict(fig1_model())
+        first, cached_first = cache.submit(document)
+        second, cached_second = cache.submit(document)
+        assert (cached_first, cached_second) == (False, True)
+        assert second is first
+        assert lowered == ["example"]
 
 
 class TestPlanCacheRoot:

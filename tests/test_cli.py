@@ -338,8 +338,9 @@ class TestCliErrorPaths:
         "argv", [["--serve-backend", "compiled"], ["--workers", "2"]]
     )
     def test_serve_has_one_sweep_realization(self, argv, capsys):
-        # The service has one sweep realization on one sweep thread,
-        # so it takes no option that picks either.
+        # The service has one sweep realization, run on its event
+        # loop, so it takes no option that picks a realization or a
+        # worker count.
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", *argv])
         assert excinfo.value.code == 2

@@ -6,7 +6,7 @@ drives the scenario the CI ``serve`` job gates on:
 
 * **two designs** (the paper's Fig. 1 example and a deliberate
   bus-conflict model) submitted once and hammered concurrently, so
-  batches of both lanes interleave on the executor;
+  batches of both lanes interleave on the event loop;
 * **concurrent clients** (default 8) per design, coalescing into
   multi-lane sweeps -- the run fails if no sweep ever batched more
   than one lane;
