@@ -406,10 +406,13 @@ class RTModel:
         plan / plan_cache:
             Compiled backends only.  ``plan`` supplies a pre-lowered
             :class:`repro.engine.plan.Plan` for this model (skipping
-            lowering entirely); ``plan_cache`` enables the on-disk
-            content-addressed plan cache -- ``True`` for the default
-            root (``$REPRO_PLAN_CACHE`` or ``~/.cache/repro``), a path,
-            or a :class:`repro.engine.plan.PlanCache`.  The event
+            lowering); it must come from a model with the same
+            digest, and the model is still digested to check that
+            (a mismatch raises :class:`ModelError`).  ``plan_cache``
+            enables the on-disk content-addressed plan cache --
+            ``True`` for the default root (``$REPRO_PLAN_CACHE`` or
+            ``~/.cache/repro``), a path, or a
+            :class:`repro.engine.plan.PlanCache`.  The event
             backend interprets the model directly and accepts neither.
 
         Returns a :class:`repro.engine.Backend` -- an

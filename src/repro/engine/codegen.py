@@ -81,7 +81,7 @@ from .plan import (
 
 #: Bump when the generated-module layout changes; versions the artifact
 #: directory and the in-file header, so stale artifacts are discarded.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Marshal sidecar header magic (the ``.pyc``-style fast-load twin).
 _CODE_MAGIC = "repro-codegen-code"

@@ -22,9 +22,11 @@ intermediate representation:
   iteration order would leak ``PYTHONHASHSEED``).
 
 * :func:`model_digest` fingerprints a model *without* lowering it:
-  declarations, module operation bodies (via ``marshal`` of their code
-  objects plus closure/default/self state) and the transfer tuples.
-  ``Plan.digest`` carries that hash, making Plans content-addressable.
+  its declared values -- header, register presets, buses, module
+  metadata with each operation's name and arity, and the transfer
+  tuples.  Operation bodies are not hashed: no artifact keyed by the
+  digest carries one (see :func:`model_digest`).  ``Plan.digest``
+  carries that hash, making Plans content-addressable.
 
 * :class:`PlanCache` stores Plans on disk under
   ``$REPRO_PLAN_CACHE`` (default ``~/.cache/repro``), versioned and
@@ -41,9 +43,7 @@ intermediate representation:
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import marshal
 import os
 import pickle
 import threading
@@ -60,7 +60,7 @@ from ..core.values import DISC, ILLEGAL
 
 #: Bump when the Plan layout changes; versions the cache layout and the
 #: on-disk payload header, so stale entries are discarded, not parsed.
-PLAN_VERSION = 2
+PLAN_VERSION = 3
 
 _MAGIC = "repro-plan"
 
@@ -147,14 +147,9 @@ class Plan:
         return tuple(name for name, _, _ in self.reg_ports)
 
     def matches(self, model: RTModel) -> bool:
-        """Cheap structural compatibility check against ``model``."""
-        return (
-            self.name == model.name
-            and self.cs_max == model.cs_max
-            and self.width == model.width
-            and self.register_names() == tuple(model.registers)
-            and tuple(mp.name for mp in self.modules) == tuple(model.modules)
-        )
+        """Whether this Plan was lowered from a model with ``model``'s
+        digest: same declarations, presets and transfers."""
+        return self.digest == model_digest(model)
 
     def describe(self) -> str:
         """Human-readable summary (used by ``repro plan``)."""
@@ -334,13 +329,21 @@ def lower(model: RTModel, digest: Optional[str] = None) -> Plan:
 # the content hash
 # ----------------------------------------------------------------------
 def model_digest(model: RTModel) -> str:
-    """A stable content hash of everything lowering depends on.
+    """A stable content hash of the model's declared values.
 
     Computed *without* lowering (this is the cheap cache-key path):
-    model header, register/bus declarations, module metadata and
-    operation bodies, and the transfer tuples in their printed form
-    (which carries all nine fields plus the op-select suffix).  Stable
-    across processes and ``PYTHONHASHSEED`` values.
+    model header, register names and presets, bus declarations, module
+    metadata with each operation's name and arity, and the transfer
+    tuples in their printed form (which carries all nine fields plus
+    the op-select suffix).  Stable across processes, checkouts and
+    ``PYTHONHASHSEED`` values.
+
+    Operation bodies are deliberately left out: a Plan holds op names
+    and codes, a generated module binds the live callables at each
+    elaboration, and a served design's operations are rebuilt from
+    their standard names and the width.  No artifact keyed by this
+    digest can hand one model's body to another, so hashing bodies
+    would only make the key depend on where the source lives.
     """
     h = hashlib.sha256()
 
@@ -367,83 +370,11 @@ def model_digest(model: RTModel) -> str:
             spec.default_op,
         )
         for name in sorted(spec.operations):
-            op = spec.operations[name]
-            put(name, op.arity, op.vector_key or "", _fn_fingerprint(op.fn))
+            put(name, spec.operations[name].arity)
     put("transfers")
     for transfer in model.transfers:
         put(str(transfer))
     return h.hexdigest()
-
-
-def _fn_fingerprint(fn: Any) -> str:
-    """Fingerprint an operation body, stable across processes.
-
-    Plain functions/lambdas hash their ``marshal``-ed code object plus
-    defaults and closure-cell contents; bound methods add their
-    ``__self__`` state; ``functools.partial`` objects hash their
-    ``func``, ``args`` and ``keywords``.  Anything else falls back to
-    its qualified name.  That fallback is still coarse: a callable
-    instance (an object with ``__call__``) fingerprints as its class,
-    so two instances with different state share a digest -- a false
-    hit.  Globals a function reads are not hashed either.
-    """
-    try:
-        if isinstance(fn, functools.partial):
-            return hashlib.sha256("\x1f".join((
-                _fn_fingerprint(fn.func),
-                _value_fingerprint(fn.args),
-                _value_fingerprint(sorted(fn.keywords.items())),
-            )).encode()).hexdigest()
-        code = getattr(fn, "__code__", None)
-        if code is not None:
-            parts = [marshal.dumps(code)]
-            defaults = getattr(fn, "__defaults__", None)
-            if defaults:
-                parts.extend(
-                    _value_fingerprint(v).encode() for v in defaults
-                )
-            closure = getattr(fn, "__closure__", None)
-            if closure:
-                for cell in closure:
-                    try:
-                        contents = cell.cell_contents
-                    except ValueError:  # pragma: no cover - empty cell
-                        parts.append(b"<empty>")
-                        continue
-                    parts.append(_value_fingerprint(contents).encode())
-            return hashlib.sha256(b"\x1f".join(parts)).hexdigest()
-        bound_self = getattr(fn, "__self__", None)
-        if bound_self is not None:
-            inner = getattr(fn, "__func__", None)
-            base = (
-                _fn_fingerprint(inner)
-                if inner is not None
-                else getattr(fn, "__qualname__", repr(type(fn)))
-            )
-            return hashlib.sha256(
-                (base + "\x1f" + _value_fingerprint(bound_self)).encode()
-            ).hexdigest()
-        return str(getattr(fn, "__qualname__", type(fn).__qualname__))
-    except Exception:  # pragma: no cover - exotic callables
-        return str(getattr(fn, "__qualname__", type(fn).__qualname__))
-
-
-def _value_fingerprint(value: Any) -> str:
-    """Deterministically fingerprint a closed-over / default value."""
-    if value is None or isinstance(value, (int, float, str, bytes, bool)):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_value_fingerprint(v) for v in value) + "]"
-    if callable(value):
-        return _fn_fingerprint(value)
-    if hasattr(value, "__name__"):  # modules and the like
-        return str(getattr(value, "__name__"))
-    try:
-        # Frozen dataclasses (FxFormat, CordicSpec, ...) pickle to a
-        # content-determined byte string; object identity never leaks.
-        return hashlib.sha256(pickle.dumps(value)).hexdigest()
-    except Exception:
-        return type(value).__qualname__
 
 
 # ----------------------------------------------------------------------
@@ -607,9 +538,10 @@ def resolve_plan(
 ) -> PlanHandle:
     """Resolve the Plan a backend should execute for ``model``.
 
-    Precedence: an explicitly supplied ``plan`` (validated cheaply
-    against the model's structure), then a cache hit by content
-    digest, then a fresh :func:`lower` (which also fills the cache).
+    Precedence: an explicitly supplied ``plan`` (accepted only when
+    its digest equals the model's, so the model is still digested),
+    then a cache hit by content digest, then a fresh :func:`lower`
+    (which also fills the cache).
     """
     if plan is not None:
         handle = (
@@ -618,9 +550,13 @@ def resolve_plan(
             else PlanHandle(plan, "given", 0.0)
         )
         if not handle.plan.matches(model):
+            # Names are often equal (one design, other presets), so
+            # the digests are what tells the two apart.
             raise ModelError(
                 f"supplied plan was lowered from a different model "
-                f"(plan: {handle.plan.name!r}, model: {model.name!r})"
+                f"(plan: {handle.plan.name!r} digest "
+                f"{handle.plan.digest[:16]}, model: {model.name!r} "
+                f"digest {model_digest(model)[:16]})"
             )
         return _recorded(handle)
     cache = as_plan_cache(plan_cache)

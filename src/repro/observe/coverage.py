@@ -731,7 +731,11 @@ class CoverageDB:
     Entries live at ``<root>/coverage/v<COVERAGE_VERSION>/
     <model_digest>.json`` under the same root as the plan cache
     (``$REPRO_PLAN_CACHE`` or ``~/.cache/repro``), one merged
-    :class:`CoverageReport` per model digest.  Reads are lenient (an
+    :class:`CoverageReport` per model digest.  The digest covers the
+    declared values and leaves operation bodies out, so runs of body
+    variants of one design accumulate into one entry, as runs with
+    different ``register_values`` do; ``merge`` still refuses a report
+    with another digest.  Reads are lenient (an
     unreadable or foreign entry is discarded with a RuntimeWarning);
     writes are atomic (tmp + rename) and best-effort, mirroring
     :class:`~repro.engine.plan.PlanCache`.

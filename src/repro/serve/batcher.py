@@ -64,6 +64,11 @@ from .protocol import ServeError, SimRequest
 #: elaboration of the generated kernel.
 SWEEP_BACKEND = "compiled-py"
 
+#: The ``"default"`` verify property set, built once: it does not
+#: depend on the model, and a Property is immutable (each run mints
+#: its own checkers), so every verify lane shares these.
+_DEFAULT_PROPERTIES: Tuple[Property, ...] = tuple(default_properties())
+
 
 # ----------------------------------------------------------------------
 # the sweep itself
@@ -167,7 +172,7 @@ class _Lane:
     def __init__(
         self,
         entry: CachedDesign,
-        properties: Optional[List[Property]],
+        properties: Optional[Sequence[Property]],
         key: Tuple[str, Optional[str]],
         tid: int = MAIN_TID,
     ) -> None:
@@ -229,10 +234,10 @@ class BatchingEngine:
         lane = self._lanes.get(key)
         if lane is not None:
             return lane
-        properties: Optional[List[Property]] = None
+        properties: Optional[Sequence[Property]] = None
         if request.properties is not None:
             if request.properties == "default":
-                properties = default_properties(entry.model)
+                properties = _DEFAULT_PROPERTIES
             else:
                 try:
                     properties = parse_properties(request.properties)

@@ -6,10 +6,13 @@ under merge; the on-disk DB accumulates with plan-cache semantics
 (content-addressed, lenient reads, atomic writes).
 """
 
+import functools
 import json
 
 import pytest
 
+from repro.core import ModuleSpec
+from repro.core.modules_lib import Operation
 from repro.engine.plan import lower
 from repro.observe import (
     CoverageDB,
@@ -23,6 +26,10 @@ from repro.observe import (
 )
 
 from .conftest import conflict_model, fig1_model, tiny_model
+
+
+def _add_k(k, a, b):
+    return a + b + k
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +159,23 @@ class TestCoverageDB:
         db.update(a)
         again = db.update(a)
         assert again == a
+
+    def test_body_variants_accumulate_into_one_entry(self, tmp_path):
+        """The DB is keyed by the Plan digest, which leaves operation
+        bodies out: two bodies of Fig. 1's ADD accumulate into one
+        entry, as two stimuli of one design do."""
+        db = CoverageDB(tmp_path)
+        for k in (1, 100):
+            model = fig1_model()
+            model.modules["ADD"] = ModuleSpec(
+                "ADD",
+                operations={
+                    "ADD": Operation("ADD", 2, functools.partial(_add_k, k)),
+                },
+                latency=1,
+            )
+            db.update(measure_coverage(model, backend="compiled"))
+        assert len(list((tmp_path / "coverage" / "v1").glob("*.json"))) == 1
 
     def test_get_missing_returns_none(self, tmp_path):
         assert CoverageDB(tmp_path).get("0" * 64) is None

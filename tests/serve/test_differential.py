@@ -14,7 +14,7 @@ from repro.observe.monitor import (
     evaluate_trace,
     monitored_watch_list,
 )
-from repro.serve import ServeClient, serve_in_thread
+from repro.serve import ServeClient, batcher, serve_in_thread
 from repro.serve.protocol import decode_registers
 
 from .conftest import conflict_model, fig1_model
@@ -121,16 +121,45 @@ def test_verify_identity(model_name, k):
             digest = client.submit(model)["digest"]
         responses = _drive(handle, digest, vectors, verify=True)
     for vector, records in zip(vectors, responses):
-        expected = _expected_verify(model, vector)
-        conflicts, violations, result = _served(records)
-        assert decode_registers(result["registers"]) == expected["registers"]
-        assert result["clean"] == expected["clean"]
-        assert result["ok"] == expected["ok"]
-        assert conflicts == expected["conflicts"]
-        assert [
-            {k_: v for k_, v in record.items() if k_ != "event"}
-            for record in violations
-        ] == expected["violations"]
+        _assert_verify_identity(model, vector, records)
+
+
+def _assert_verify_identity(model, vector, records):
+    expected = _expected_verify(model, vector)
+    conflicts, violations, result = _served(records)
+    assert decode_registers(result["registers"]) == expected["registers"]
+    assert result["clean"] == expected["clean"]
+    assert result["ok"] == expected["ok"]
+    assert conflicts == expected["conflicts"]
+    assert [
+        {k: v for k, v in record.items() if k != "event"}
+        for record in violations
+    ] == expected["violations"]
+
+
+def test_sequential_default_verifies_share_one_property_set(monkeypatch):
+    """A lane drains away with its last request, so each of these
+    sequential verifies opens a new one; none of them rebuilds the
+    default property set, and the verdicts are unchanged."""
+    built = []
+
+    def counted(model=None):
+        built.append(model)
+        return default_properties(model)
+
+    monkeypatch.setattr(batcher, "default_properties", counted)
+    model = conflict_model()
+    vectors = _vectors(model, 3, seed=300)
+    with serve_in_thread() as handle:
+        with ServeClient(*handle.address) as client:
+            digest = client.submit(model)["digest"]
+            responses = [
+                client.verify(digest, register_values=vector)
+                for vector in vectors
+            ]
+    assert built == []
+    for vector, records in zip(vectors, responses):
+        _assert_verify_identity(model, vector, records)
 
 
 def test_disconnected_register_values_travel_the_wire():
